@@ -1,4 +1,4 @@
-// Benchmarks, one per experiment of DESIGN.md §4 (plus component micro-
+// Benchmarks, one per experiment of internal/bench (plus component micro-
 // benchmarks in the internal packages). Run with:
 //
 //	go test -bench=. -benchmem

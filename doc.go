@@ -5,8 +5,8 @@
 // The system explains the output of a black-box table-repair algorithm
 // with Shapley values: given a repaired cell of interest, it ranks the
 // denial constraints and the input table cells by their contribution to
-// that repair. See README.md for the tour, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for the paper-vs-measured record.
+// that repair. The package map closes this comment; `trex-bench -exp all`
+// prints the paper-vs-measured record of every experiment.
 //
 // # Evaluation fast path
 //
@@ -28,16 +28,20 @@
 //     bit-identical to the legacy clone path under a fixed seed (golden
 //     equivalence tests; the clone path survives behind
 //     core.CellGame.CloneEval for cross-validation).
-//   - Packed, sharded coalition cache (internal/shapley.Cached): coalition
-//     keys are uint64 bitmasks for ≤64 players (packed bytes above) spread
-//     over 64 lock shards, so exact constraint-game enumeration no longer
-//     serializes on one mutex, and violation scans reuse their hash
-//     buckets across scans of one table generation
-//     (internal/dc.ScanIndex, keyed on table.Generation).
+//   - Packed coalition keys (internal/shapley.AppendPacked): a uint64
+//     bitmask up to 64 players, []uint64 words above, in every coalition
+//     cache — the per-game shapley.Cached and the session-wide
+//     exec.CoalitionCache, each over 64 lock shards so exact enumeration
+//     does not serialize on one mutex. Coalition walks keep their
+//     membership in this form one player at a time (shapley.Packed), so
+//     a walk's cache lookup and store never repack the coalition.
+//     Violation scans reuse their hash buckets across scans of one table
+//     generation (internal/dc.ScanIndex, keyed on table.Generation).
 //   - In-place repair protocol (internal/repair.ScratchRepairer): the
 //     black boxes themselves no longer Clone() per run. RepairInto
-//     refreshes a pooled work table (table.CopyFrom logs per-cell deltas)
-//     and repairs it in place with pooled per-run buffers — statistics
+//     refreshes a pooled work table (table.CopyFrom logs per-cell deltas
+//     and, refreshing from the table it copied last, visits only the
+//     cells either side edited since) and repairs it in place with pooled per-run buffers — statistics
 //     (table.Stats.Reset), scan indexes, candidate domains — so the whole
 //     eval→repair round trip allocates nothing in steady state. Both cell
 //     and group games drive the samplers through CoalitionWalk, and pooled
@@ -65,7 +69,11 @@
 //     values. Invalidation is by table generation, lazily per shard:
 //     Session.SetCell bumps the dirty table's mutation counter and no
 //     value computed before the bump can satisfy a lookup after it
-//     (hammer-tested under -race).
+//     (hammer-tested under -race). Each shard holds at most 1024 values
+//     and clears itself when a store would exceed that
+//     (CoalitionCache.Evictions counts the dropped values); an explain's
+//     commit decides each shard's eviction once for its whole batch, so
+//     the cache's contents never depend on map iteration order.
 //   - Bounded worker pool (exec.Pool): one global helper budget per
 //     session, borrowed non-blockingly so nested fan-outs (sampler workers
 //     whose repair passes parallelize) degrade to caller-only execution
@@ -225,7 +233,8 @@
 //     kernel against interpreter across randomized schemas, NaN/±0.0
 //     values and all six operators.
 //   - LiveViolationSet: the materialized answer — per-(constraint, table)
-//     violation-pair lists, sorted (Row1, Row2). A cell edit retracts the
+//     violation-pair lists, sorted (Row1, Row2), on tables of every size
+//     (there is no small-table rescan mode). A cell edit retracts the
 //     edited row's pairs and re-derives them against the row's current
 //     bucket; a full re-derivation (first query, log overrun, table
 //     switch) fans out across disjoint buckets on a worker pool for large
@@ -437,7 +446,7 @@
 //	internal/core       the T-REx engine: games, explainer, sessions
 //	internal/data       La Liga example, generators, error injection
 //	internal/server     HTTP API + embedded GUI (Figure 3/4)
-//	internal/bench      experiment implementations (DESIGN.md §4)
+//	internal/bench      experiment implementations (trex-bench -list)
 //	internal/lint       trexlint invariant analyzers (see # Linting)
 //	internal/lint/cfg   per-function control-flow graphs + worklist solver
 //	internal/lint/dataflow  bounded call-graph summaries for the analyzers

@@ -442,7 +442,7 @@ const (
 // pinning makes the game well-defined and reproduces the ranking of
 // Example 2.4 (t5[League] on top). Treating the cell of interest as a
 // player instead makes it an almost-veto player that dominates the ranking
-// — an artifact, not an explanation (see EXPERIMENTS.md E5).
+// — an artifact, not an explanation.
 type CellGame struct {
 	exp    *Explainer
 	cell   table.CellRef
@@ -651,17 +651,21 @@ func (g *CellGame) replacement(k int, rng *rand.Rand) (table.Value, error) {
 // deterministic games consult the session's shared coalition cache first.
 func (g *CellGame) eval(ctx context.Context, coalition []bool, rng *rand.Rand) (float64, error) {
 	// g.shared is nil unless BindSharedCache enrolled this (null-policy)
-	// game, and a nil binding always misses, so no policy branch is needed:
-	// stochastic realizations can never be memoized. evalUncached syncs to
-	// the live generation, so a value computed after a concurrent edit
-	// carries a stale gen stamp and is dropped by Store.
-	v, gen, ok := g.shared.Lookup(coalition)
+	// game, so stochastic realizations can never be memoized. evalUncached
+	// syncs to the live generation, so a value computed after a concurrent
+	// edit carries a stale gen stamp and is dropped by Store.
+	if g.shared == nil {
+		return g.evalUncached(ctx, coalition, rng)
+	}
+	var buf [8]uint64 // up to 512 players without a heap buffer
+	words := shapley.AppendPacked(buf[:0], coalition)
+	v, gen, ok := g.shared.Lookup(words)
 	if ok {
 		return v, nil
 	}
 	v, err := g.evalUncached(ctx, coalition, rng)
 	if err == nil {
-		g.shared.Store(gen, coalition, v)
+		g.shared.Store(gen, words, v)
 	}
 	return v, err
 }
@@ -749,7 +753,7 @@ func (c cloneEvalGame) Value(ctx context.Context, coalition []bool) (float64, er
 // policy each step is a single SetRef on the walk's scratch table.
 func (g *CellGame) NewWalk() shapley.CoalitionWalk {
 	g.sync()
-	return &cellWalk{g: g, sc: g.getScratch(), in: make([]bool, len(g.players))}
+	return &cellWalk{g: g, sc: g.getScratch(), in: shapley.NewPacked(len(g.players))}
 }
 
 // cellWalk holds one borrowed scratch table for a worker's sequence of
@@ -757,9 +761,10 @@ func (g *CellGame) NewWalk() shapley.CoalitionWalk {
 type cellWalk struct {
 	g  *CellGame
 	sc *cellScratch
-	// in mirrors coalition membership; needed under ReplaceFromColumn,
-	// where every absent cell is redrawn per evaluation.
-	in []bool
+	// in is the coalition, kept packed one player at a time: it is the
+	// shared-cache key, and under ReplaceFromColumn it names the absent
+	// cells every evaluation redraws.
+	in shapley.Packed
 	// masked reports whether the scratch table currently has the absent
 	// cells masked (i.e. Reset has run).
 	masked bool
@@ -768,9 +773,7 @@ type cellWalk struct {
 // Reset implements shapley.CoalitionWalk: empty coalition, every player
 // masked.
 func (w *cellWalk) Reset() {
-	for k := range w.in {
-		w.in[k] = false
-	}
+	clear(w.in)
 	if w.g.policy == ReplaceWithNull {
 		for _, ref := range w.g.players {
 			w.sc.tbl.SetRef(ref, table.Null())
@@ -783,10 +786,10 @@ func (w *cellWalk) Reset() {
 // player's cell returns to its dirty value; under ReplaceFromColumn the
 // next Value stops redrawing it.
 func (w *cellWalk) Include(p int) {
-	if w.in[p] {
+	if w.in.Has(p) {
 		return
 	}
-	w.in[p] = true
+	w.in.Add(p)
 	w.sc.tbl.SetRef(w.g.players[p], w.g.origs[p])
 }
 
@@ -796,10 +799,10 @@ func (w *cellWalk) Include(p int) {
 // the cell returns to Null; under ReplaceFromColumn the next Value simply
 // resumes redrawing it.
 func (w *cellWalk) Exclude(p int) {
-	if !w.in[p] {
+	if !w.in.Has(p) {
 		return
 	}
-	w.in[p] = false
+	w.in.Remove(p)
 	if w.g.policy == ReplaceWithNull {
 		w.sc.tbl.SetRef(w.g.players[p], table.Null())
 	}
@@ -829,8 +832,8 @@ func (w *cellWalk) Exclude(p int) {
 // samples all reflect one table state.
 func (w *cellWalk) Value(ctx context.Context, rng *rand.Rand) (float64, error) {
 	if w.g.policy != ReplaceWithNull {
-		for k, in := range w.in {
-			if in {
+		for k := range w.g.players {
+			if w.in.Has(k) {
 				continue
 			}
 			v, err := w.g.replacement(k, rng)

@@ -260,15 +260,20 @@ func (g *GroupGame) SampleValue(ctx context.Context, coalition []bool, rng *rand
 
 func (g *GroupGame) eval(ctx context.Context, coalition []bool, rng *rand.Rand) (float64, error) {
 	// See CellGame.eval: the binding is nil for unbound and stochastic
-	// games (always-miss), and a value computed after a concurrent edit
-	// carries a stale gen stamp and is dropped by Store.
-	v, gen, ok := g.shared.Lookup(coalition)
+	// games, and a value computed after a concurrent edit carries a stale
+	// gen stamp and is dropped by Store.
+	if g.shared == nil {
+		return g.evalUncached(ctx, coalition, rng)
+	}
+	var buf [8]uint64 // up to 512 players without a heap buffer
+	words := shapley.AppendPacked(buf[:0], coalition)
+	v, gen, ok := g.shared.Lookup(words)
 	if ok {
 		return v, nil
 	}
 	v, err := g.evalUncached(ctx, coalition, rng)
 	if err == nil {
-		g.shared.Store(gen, coalition, v)
+		g.shared.Store(gen, words, v)
 	}
 	return v, err
 }
@@ -400,7 +405,7 @@ func (g *GroupGame) NewWalk() shapley.CoalitionWalk {
 	return &groupWalk{
 		g:         g,
 		sc:        g.getScratch(),
-		in:        make([]bool, len(g.groups)),
+		in:        shapley.NewPacked(len(g.groups)),
 		maskCount: make([]int32, len(g.layout.flat)),
 	}
 }
@@ -410,9 +415,10 @@ func (g *GroupGame) NewWalk() shapley.CoalitionWalk {
 type groupWalk struct {
 	g  *GroupGame
 	sc *groupScratch
-	// in mirrors coalition membership; needed under ReplaceFromColumn,
-	// where every absent group is redrawn per evaluation.
-	in []bool
+	// in is the coalition, kept packed one group at a time: it is the
+	// shared-cache key, and under ReplaceFromColumn it names the absent
+	// groups every evaluation redraws.
+	in shapley.Packed
 	// maskCount[i] counts the absent groups containing layout.flat[i];
 	// positive means masked under the null policy.
 	maskCount []int32
@@ -427,9 +433,7 @@ type groupWalk struct {
 func (w *groupWalk) Reset() {
 	lo := &w.g.layout
 	copy(w.maskCount, lo.base)
-	for k := range w.in {
-		w.in[k] = false
-	}
+	clear(w.in)
 	if w.g.policy == ReplaceWithNull {
 		for _, ref := range lo.flat {
 			w.sc.tbl.SetRef(ref, table.Null())
@@ -441,10 +445,10 @@ func (w *groupWalk) Reset() {
 // Include implements shapley.CoalitionWalk: the per-group delta. Cells the
 // group shares with still-absent groups stay masked.
 func (w *groupWalk) Include(p int) {
-	if w.in[p] {
+	if w.in.Has(p) {
 		return
 	}
-	w.in[p] = true
+	w.in.Add(p)
 	lo := &w.g.layout
 	dirty := w.g.exp.Dirty
 	for _, fi := range lo.groupIdx[p] {
@@ -460,10 +464,10 @@ func (w *groupWalk) Include(p int) {
 // reappears; cells still covered by other absent groups were masked
 // already.
 func (w *groupWalk) Exclude(p int) {
-	if !w.in[p] {
+	if !w.in.Has(p) {
 		return
 	}
-	w.in[p] = false
+	w.in.Remove(p)
 	lo := &w.g.layout
 	for _, fi := range lo.groupIdx[p] {
 		w.maskCount[fi]++
@@ -481,11 +485,11 @@ func (w *groupWalk) Exclude(p int) {
 // paths).
 func (w *groupWalk) Value(ctx context.Context, rng *rand.Rand) (float64, error) {
 	if w.g.policy != ReplaceWithNull {
-		for k, in := range w.in {
+		for k := range w.g.groups {
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
-			if in {
+			if w.in.Has(k) {
 				continue
 			}
 			for _, ref := range w.g.groups[k].Cells {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/dc"
 	"repro/internal/repair"
 	"repro/internal/shapley"
@@ -230,6 +232,70 @@ func TestCellWalkAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("walk allocates %.1f per permutation, want 0", got)
+	}
+}
+
+// TestCellWalkAllocsSoccer48 is TestCellWalkAllocs at the size of the
+// explain-soccer48 benchmark: 48 rows, the rule-derived black box and a
+// roster restricted to the relevant cells, well past one 64-player key
+// word. Each step is one Include or Exclude, so the work-table refresh
+// takes the delta path, the live violation lists replay one edit, and the
+// walk's packed membership moves one bit. The game is unbound, so no
+// cache store runs. All of it allocates nothing once warm.
+func TestCellWalkAllocsSoccer48(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ctx := context.Background()
+	tbl := data.GenerateSoccer(data.SoccerConfig{Leagues: 4, TeamsPerLeague: 12, Seed: 17})
+	cell := table.CellRef{Row: 5, Col: tbl.Schema().MustIndex("Country")}
+	tbl.Set(cell.Row, cell.Col, table.String("Wrongland"))
+	cs := data.SoccerDCs()
+	exp, err := NewExplainer(repair.NewRuleRepair(cs), cs, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, _, err := exp.Target(ctx, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	game := exp.NewCellGame(cell, target, ReplaceWithNull)
+	game.RestrictPlayers(exp.RelevantCells(cell))
+	n := game.NumPlayers()
+	if tbl.NumRows() != 48 || n <= 64 {
+		t.Fatalf("fixture drifted: %d rows, %d players", tbl.NumRows(), n)
+	}
+	w := game.NewWalk()
+	defer w.Close()
+	dw := w.(shapley.DeltaWalk)
+	walk := func() {
+		w.Reset()
+		for p := 0; p < n; p++ {
+			w.Include(p)
+			if _, err := w.Value(ctx, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p := 0; p < n; p += 7 {
+			dw.Exclude(p)
+			if _, err := w.Value(ctx, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm on the one P AllocsPerRun measures on: pooled run state and
+	// work tables put back on another P's private slot would be rebuilt
+	// inside the measurement. The GC beforehand keeps a collection (whose
+	// workers allocate) out of the measured walks; the walk after it
+	// moves the pooled objects back from the victim cache.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 3; i++ {
+		walk()
+	}
+	runtime.GC()
+	walk()
+	if got := testing.AllocsPerRun(5, walk); got != 0 {
+		t.Errorf("48-row walk allocates %.1f per permutation, want 0", got)
 	}
 }
 

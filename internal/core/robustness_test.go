@@ -254,13 +254,11 @@ func TestCommittedExplainWarmsNextRun(t *testing.T) {
 // push the live violation index onto its full-rebuild fallback, and the
 // rebuilt answers must be bit-identical to the incremental path's.
 func TestEditReplayOverrunDegradesIdentically(t *testing.T) {
-	// MinRows 1 forces list materialization on the small fixture; Workers 1
-	// keeps the full-derivation fallback serial and deterministic.
+	// Workers 1 keeps the full-derivation fallback serial and deterministic.
 	ll := data.NewLaLiga()
 	c := ll.DCs[0]
 	mk := func() (*dc.LiveViolationSet, *table.Table) {
 		live := dc.NewLiveViolationSet()
-		live.MinRows = 1
 		live.Workers = 1
 		return live, ll.Dirty.Clone()
 	}

@@ -52,9 +52,6 @@ type LiveViolationSet struct {
 	// engine's bounded worker pool, plugged in per run by the repair black
 	// boxes (repair.PartitionedRepairer). Its budget caps the fan-out.
 	Pool Runner
-	// MinRows overrides the materialization threshold (0 means
-	// liveMinRows). Tests set 1 to force list maintenance on small tables.
-	MinRows int
 
 	// Pooled scratch for delta application. rows is the bound table's row
 	// count at generation gen — the origin space structural windows are
@@ -71,6 +68,9 @@ type LiveViolationSet struct {
 	newPairs    []Violation
 	slotSeen    []bool
 	slotOrder   []int
+	// rederive's candidate masks, and 0..rows-1 for keyless constraints.
+	aliveFwd, aliveRev []bool
+	allRows            []int
 }
 
 // Runner abstracts a bounded worker pool (exec.Pool) without importing it,
@@ -101,15 +101,6 @@ type liveList struct {
 	colRelevant []bool
 }
 
-// liveMinRows is the table size below which the set answers queries
-// straight from the kernel-accelerated ScanIndex instead of materializing
-// lists: on tiny tables (the paper's worked examples, coalition scratch
-// copies of them) the per-edit retract/derive/merge bookkeeping costs more
-// than the intra-bucket pair scan it avoids. The cutover is a pure
-// strategy choice — both paths are golden-tested identical — keyed on the
-// current row count only, so it is deterministic per table state.
-const liveMinRows = 64
-
 // liveParallelRows is the table size above which a full derivation fans
 // out across buckets; below it the goroutine handoff costs more than the
 // scan.
@@ -133,25 +124,11 @@ func NewLiveViolationSet() *LiveViolationSet {
 // confinement.
 func (s *LiveViolationSet) Index() *ScanIndex { return s.ix }
 
-// bypass reports whether t is below the materialization threshold.
-func (s *LiveViolationSet) bypass(t *table.Table) bool {
-	min := s.MinRows
-	if min <= 0 {
-		min = liveMinRows
-	}
-	return t.NumRows() < min
-}
-
 // Violations returns the current violation list of c over t, synced to
 // t's generation. The returned slice aliases the set's storage: it is
 // valid until the next call on the set after a table edit, and must not
 // be mutated. Use Append for a caller-owned copy.
 func (s *LiveViolationSet) Violations(c *Constraint, t *table.Table) ([]Violation, error) {
-	if s.bypass(t) {
-		var err error
-		s.newPairs, err = c.AppendViolations(t, s.ix, s.newPairs[:0])
-		return s.newPairs, err
-	}
 	l, err := s.listFor(c, t)
 	if err != nil {
 		return nil, err
@@ -164,9 +141,6 @@ func (s *LiveViolationSet) Violations(c *Constraint, t *table.Table) ([]Violatio
 // Constraint.AppendViolations in repair hot loops, with delta maintenance
 // underneath.
 func (s *LiveViolationSet) Append(c *Constraint, t *table.Table, out []Violation) ([]Violation, error) {
-	if s.bypass(t) {
-		return c.AppendViolations(t, s.ix, out)
-	}
 	l, err := s.listFor(c, t)
 	if err != nil {
 		return out, err
@@ -176,22 +150,11 @@ func (s *LiveViolationSet) Append(c *Constraint, t *table.Table, out []Violation
 
 // ForEachViolatingGroup invokes fn over the join groups (hash buckets) of
 // c that currently contain at least one violating pair, in ascending
-// order of the group's first violating row — except below the
-// materialization threshold, where it is cheaper to visit *every*
-// non-empty group (in bucket-interning order) than to track which ones
-// violate. fn must therefore be a no-op on violation-free groups and must
-// not depend on visit order beyond determinism; the FD chase satisfies
-// both by construction. ok is false, with fn never invoked, when the
-// constraint has no equality join key. The rows slice aliases index
-// storage and is read-only; fn may mutate the table, and the set catches
-// up on its next sync.
+// order of the group's first violating row. ok is false, with fn never
+// invoked, when the constraint has no equality join key. The rows slice
+// aliases index storage and is read-only; fn may mutate the table, and
+// the set catches up on its next sync.
 func (s *LiveViolationSet) ForEachViolatingGroup(c *Constraint, t *table.Table, fn func(rows []int) error) (bool, error) {
-	if s.bypass(t) {
-		// Below the materialization threshold visiting every group is
-		// cheaper than tracking which ones violate; violation-free groups
-		// are no-ops for every consumer of this iterator.
-		return c.ForEachJoinGroup(t, s.ix, fn)
-	}
 	bs, slots, err := s.violatingSlots(c, t)
 	if err != nil {
 		return false, err
@@ -248,20 +211,16 @@ func (s *LiveViolationSet) violatingSlots(c *Constraint, t *table.Table) (*bucke
 // AppendViolatingGroups appends to dst the join groups (hash buckets) of c
 // that currently contain at least one violating pair, in ascending order
 // of each group's first violating row — exactly the visit order of
-// ForEachViolatingGroup's materialized path. It is the bucket-partition
+// ForEachViolatingGroup. It is the bucket-partition
 // exposure the parallel repair path consumes: groups are disjoint row
 // sets, so a PartitionedRepairer can compute per-group fixes concurrently
 // and apply them serially in this order, bit-identical to the serial pass.
 //
 // ok is false — with dst returned unchanged — when the constraint has no
-// equality join key or the table is below the materialization threshold;
-// callers fall back to the serial ForEachViolatingGroup there. The row
-// slices alias index storage: read-only, valid until the table is mutated
-// and the set re-synced.
+// equality join key; callers fall back to their serial pass there. The
+// row slices alias index storage: read-only, valid until the table is
+// mutated and the set re-synced.
 func (s *LiveViolationSet) AppendViolatingGroups(c *Constraint, t *table.Table, dst [][]int) ([][]int, bool, error) {
-	if s.bypass(t) {
-		return dst, false, nil
-	}
 	bs, slots, err := s.violatingSlots(c, t)
 	if err != nil || bs == nil {
 		return dst, false, err
@@ -396,62 +355,9 @@ func (s *LiveViolationSet) applyList(c *Constraint, l *liveList, t *table.Table,
 	// between two untouched rows are unchanged by construction (no cell in
 	// a constraint-mentioned column moved), so this restores exactly the
 	// full-rescan answer.
-	s.newPairs = s.newPairs[:0]
-	if c.SingleTuple() {
-		kern, err := s.ix.kernelFor(c, t)
-		if err != nil {
-			return err
-		}
-		for _, r := range s.touchedRows {
-			if kern.Pair(t, r, r) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: r, Row2: r})
-			}
-		}
-	} else {
-		// The scan partition (plan-shared when planned) is enough here:
-		// the full kernel re-checks every candidate pair, and a coarser
-		// bucket only adds candidates the kernel rejects.
-		e := s.ix.entryFor(c, t)
-		if e.kernErr != nil {
-			return e.kernErr
-		}
-		bs := s.ix.scanBucketSetFor(e, t)
-		kern := e.kern
-		derivePartner := func(r, j int) {
-			if j == r {
-				return
-			}
-			// A touched partner below r already derived this unordered pair
-			// (both orders) on its own iteration.
-			if mask[j] && j < r {
-				return
-			}
-			if kern.Pair(t, r, j) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: r, Row2: j})
-			}
-			if kern.Pair(t, j, r) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: j, Row2: r})
-			}
-		}
-		for _, r := range s.touchedRows {
-			if bs != nil {
-				slot := bs.rowBucket[r]
-				if slot < 0 {
-					// Null/NaN join key: r participates in no pair.
-					continue
-				}
-				for _, j := range bs.members[slot] {
-					derivePartner(r, j)
-				}
-				continue
-			}
-			// No join key: every row is a candidate partner.
-			for j := 0; j < n; j++ {
-				derivePartner(r, j)
-			}
-		}
+	if err := s.rederive(c, t, s.touchedRows, mask); err != nil {
+		return err
 	}
-	slices.SortFunc(s.newPairs, violationOrder)
 
 	// Merge the sorted additions into the sorted survivors.
 	l.merge = mergeViolations(l.merge[:0], l.pairs, s.newPairs)
@@ -537,63 +443,84 @@ func (s *LiveViolationSet) applyListStructural(c *Constraint, l *liveList, t *ta
 	l.pairs = keep
 
 	// Re-derive the changed positions against the final table.
+	if err := s.rederive(c, t, s.deriveRows, dmask); err != nil {
+		return err
+	}
+
+	// Merge the sorted additions into the sorted survivors.
+	l.merge = mergeViolations(l.merge[:0], l.pairs, s.newPairs)
+	l.pairs, l.merge = l.merge, l.pairs
+	return nil
+}
+
+// rederive sets s.newPairs to every violating pair of c over t that
+// involves a row of rows (ascending), sorted by (Row1, Row2). in marks
+// exactly the rows of rows, so a pair of two re-derived rows is found
+// once: by the lower row, in both orders. Each row is checked against its
+// current bucket (every row when c has no join key) with the compiled
+// kernel, column-at-a-time: the scan partition — plan-shared when planned
+// — only bounds the candidates, and the full kernel rejects any a coarser
+// bucket adds.
+func (s *LiveViolationSet) rederive(c *Constraint, t *table.Table, rows []int, in []bool) error {
 	s.newPairs = s.newPairs[:0]
 	if c.SingleTuple() {
 		kern, err := s.ix.kernelFor(c, t)
 		if err != nil {
 			return err
 		}
-		for _, r := range s.deriveRows {
+		for _, r := range rows {
 			if kern.Pair(t, r, r) {
 				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: r, Row2: r})
 			}
 		}
-	} else {
-		e := s.ix.entryFor(c, t)
-		if e.kernErr != nil {
-			return e.kernErr
+		return nil
+	}
+	e := s.ix.entryFor(c, t)
+	if e.kernErr != nil {
+		return e.kernErr
+	}
+	bs := s.ix.scanBucketSetFor(e, t)
+	if bs == nil && len(s.allRows) != t.NumRows() {
+		s.allRows = s.allRows[:0]
+		for j := 0; j < t.NumRows(); j++ {
+			s.allRows = append(s.allRows, j)
 		}
-		bs := s.ix.scanBucketSetFor(e, t)
-		kern := e.kern
-		derivePartner := func(r, j int) {
-			if j == r {
-				return
-			}
-			// A derived partner below r already derived this unordered pair
-			// (both orders) on its own iteration.
-			if dmask[j] && j < r {
-				return
-			}
-			if kern.Pair(t, r, j) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: r, Row2: j})
-			}
-			if kern.Pair(t, j, r) {
-				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: j, Row2: r})
-			}
-		}
-		for _, r := range s.deriveRows {
-			if bs != nil {
-				slot := bs.rowBucket[r]
-				if slot < 0 {
-					// Null/NaN join key: r participates in no pair.
-					continue
-				}
-				for _, j := range bs.members[slot] {
-					derivePartner(r, j)
-				}
+	}
+	for _, r := range rows {
+		cand := s.allRows
+		if bs != nil {
+			slot := bs.rowBucket[r]
+			if slot < 0 {
+				// Null/NaN join key: r participates in no pair.
 				continue
 			}
-			// No join key: every row is a candidate partner.
-			for j := 0; j < n; j++ {
-				derivePartner(r, j)
+			cand = bs.members[slot]
+		}
+		fwd, rev := s.aliveFwd[:0], s.aliveRev[:0]
+		any := false
+		for _, j := range cand {
+			ok := j != r && !(in[j] && j < r)
+			fwd = append(fwd, ok)
+			any = any || ok
+		}
+		s.aliveFwd = fwd
+		if !any {
+			continue
+		}
+		rev = append(rev, fwd...)
+		s.aliveRev = rev
+		e.kern.Filter(t, 0, r, cand, fwd) // (r, j)
+		e.kern.Filter(t, 1, r, cand, rev) // (j, r)
+		for m, j := range cand {
+			if fwd[m] {
+				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: r, Row2: j})
+			}
+			if rev[m] {
+				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: j, Row2: r})
 			}
 		}
 	}
 	slices.SortFunc(s.newPairs, violationOrder)
-
-	// Merge the sorted additions into the sorted survivors.
-	l.merge = mergeViolations(l.merge[:0], l.pairs, s.newPairs)
-	l.pairs, l.merge = l.merge, l.pairs
 	return nil
 }
 

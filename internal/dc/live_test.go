@@ -70,7 +70,6 @@ func TestLiveViolationSetRandomEdits(t *testing.T) {
 	tbl := deltaTable(t, 24, 21)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // force materialized lists despite the small table
 	assertLiveMatchesRescan(t, "initial", cs, tbl, live)
 	rng := rand.New(rand.NewSource(22))
 	values := []table.Value{
@@ -92,7 +91,6 @@ func TestLiveViolationSetBatchedEdits(t *testing.T) {
 	tbl := deltaTable(t, 16, 23)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // force materialized lists despite the small table
 	assertLiveMatchesRescan(t, "initial", cs, tbl, live)
 	rng := rand.New(rand.NewSource(24))
 	for round := 0; round < 25; round++ {
@@ -124,7 +122,6 @@ func TestLiveViolationSetOverrunAndStructure(t *testing.T) {
 	tbl := deltaTable(t, 12, 25)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // force materialized lists despite the small table
 	assertLiveMatchesRescan(t, "initial", cs, tbl, live)
 	rng := rand.New(rand.NewSource(26))
 	for k := 0; k < 2000; k++ { // far beyond the edit-log window
@@ -152,7 +149,6 @@ func TestLiveViolationSetTableSwitch(t *testing.T) {
 	b := deltaTable(t, 14, 28)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // force materialized lists despite the small tables
 	for round := 0; round < 4; round++ {
 		assertLiveMatchesRescan(t, "table a", cs, a, live)
 		assertLiveMatchesRescan(t, "table b", cs, b, live)
@@ -171,22 +167,32 @@ func TestLiveViolationSetTableSwitch(t *testing.T) {
 	}
 }
 
-// TestLiveViolationSetBypassSmallTables runs a default-threshold set on a
-// small table: queries route through the kernel-accelerated ScanIndex
-// instead of materialized lists and must still match full rescans exactly.
-func TestLiveViolationSetBypassSmallTables(t *testing.T) {
+// TestLiveViolationSetMaterializesSmallTables runs a default set on a
+// small table: every query is answered from a materialized, delta-maintained
+// list (there is no small-table rescan mode) and must still match full
+// rescans exactly.
+func TestLiveViolationSetMaterializesSmallTables(t *testing.T) {
 	tbl := deltaTable(t, 20, 33)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	if !live.bypass(tbl) {
-		t.Fatalf("a %d-row table must sit below the default threshold", tbl.NumRows())
-	}
 	assertLiveMatchesRescan(t, "initial", cs, tbl, live)
+	assertMaterialized(t, cs, live)
 	rng := rand.New(rand.NewSource(34))
 	for step := 0; step < 40; step++ {
 		tbl.Set(rng.Intn(tbl.NumRows()), rng.Intn(tbl.NumCols()),
 			table.String(fmt.Sprintf("v%d", rng.Intn(4))))
 		assertLiveMatchesRescan(t, fmt.Sprintf("step %d", step), cs, tbl, live)
+		assertMaterialized(t, cs, live)
+	}
+}
+
+// assertMaterialized checks that every constraint has a valid list.
+func assertMaterialized(t *testing.T, cs []*Constraint, live *LiveViolationSet) {
+	t.Helper()
+	for _, c := range cs {
+		if l, ok := live.lists[c]; !ok || !l.valid {
+			t.Fatalf("%s: no valid materialized list after a query", c.ID)
+		}
 	}
 }
 
@@ -277,7 +283,6 @@ func TestLiveViolationSetViolatingGroups(t *testing.T) {
 	})
 	c := MustParse("C1: !(t1.Team = t2.Team & t1.City != t2.City)")
 	live := NewLiveViolationSet()
-	live.MinRows = 1 // materialized path: the bypass visits every group
 	var groups [][]int
 	ok, err := live.ForEachViolatingGroup(c, tbl, func(rows []int) error {
 		groups = append(groups, append([]int(nil), rows...))

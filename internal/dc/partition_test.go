@@ -1,6 +1,7 @@
 package dc
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,7 +37,6 @@ func TestAppendViolatingGroupsMatchesIterator(t *testing.T) {
 	tbl := deltaTable(t, 40, 3)
 	cs := liveConstraints(t)
 	live := NewLiveViolationSet()
-	live.MinRows = 1
 	for _, c := range cs {
 		var want [][]int
 		okIter, err := live.ForEachViolatingGroup(c, tbl, func(rows []int) error {
@@ -72,22 +72,36 @@ func TestAppendViolatingGroupsMatchesIterator(t *testing.T) {
 	}
 }
 
-// TestAppendViolatingGroupsBypass: below the materialization threshold the
-// exposure declines (callers use the serial iterator there).
-func TestAppendViolatingGroupsBypass(t *testing.T) {
+// TestAppendViolatingGroupsSmallTables: an 8-row table exposes its
+// violating groups like any other, after dst's prefix and in
+// ForEachViolatingGroup order.
+func TestAppendViolatingGroupsSmallTables(t *testing.T) {
 	tbl := deltaTable(t, 8, 5)
-	cs := liveConstraints(t)
-	live := NewLiveViolationSet() // default MinRows: 8 rows bypass
+	c := liveConstraints(t)[0]
+	live := NewLiveViolationSet()
+	var want [][]int
+	if ok, err := live.ForEachViolatingGroup(c, tbl, func(rows []int) error {
+		want = append(want, append([]int(nil), rows...))
+		return nil
+	}); err != nil || !ok {
+		t.Fatalf("iterator: ok=%v err=%v", ok, err)
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture has no violating group")
+	}
 	dst := [][]int{{99}}
-	got, ok, err := live.AppendViolatingGroups(cs[0], tbl, dst)
+	got, ok, err := live.AppendViolatingGroups(c, tbl, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("bypass tables must decline group exposure")
+	if !ok {
+		t.Fatal("small tables must expose their groups")
 	}
-	if len(got) != 1 || got[0][0] != 99 {
-		t.Fatal("dst must be returned unchanged on decline")
+	if len(got) != len(want)+1 || got[0][0] != 99 {
+		t.Fatalf("got %d groups after the prefix, want %d with the prefix kept", len(got)-1, len(want))
+	}
+	if fmt.Sprint(got[1:]) != fmt.Sprint(want) {
+		t.Fatalf("groups %v, want iterator order %v", got[1:], want)
 	}
 }
 

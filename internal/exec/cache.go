@@ -20,6 +20,14 @@ func floatBits(v float64) uint64 { return math.Float64bits(v) }
 // fan-out never serializes on one mutex.
 const cacheShards = 64
 
+// maxShardEntries caps one shard's entries, narrow and wide together. A
+// store that would go past it clears the shard first: cache participation
+// never changes an estimate, so forgetting is always safe, and the cap
+// bounds a session whose table sits at one generation across many
+// explains. 64 shards of 1024 hold far more than one La Liga
+// edit-and-refresh generation stores, so that loop never evicts.
+const maxShardEntries = 1024
+
 // CoalitionCache memoizes deterministic coalition values across *all* of a
 // session's games, keyed by (gameID, packed coalition) and stamped with
 // the table generation the value was computed at. Where the per-game
@@ -32,7 +40,9 @@ const cacheShards = 64
 // Invalidation is by generation, lazily per shard: the first lookup
 // carrying a new generation clears the shard, so Session.SetCell costs
 // nothing up front and no stale value can ever be returned (the hammer
-// test in core proves this under -race). Safe for concurrent use.
+// test in core proves this under -race). Each shard holds at most
+// maxShardEntries values and clears itself when a store would exceed
+// that (Evictions counts the values dropped). Safe for concurrent use.
 type CoalitionCache struct {
 	shards [cacheShards]ccShard
 }
@@ -46,9 +56,12 @@ type ccShard struct {
 	gen    uint64
 	narrow map[narrowKey]float64
 	wide   map[uint64][]wideGameEntry
-	hits   uint64
-	misses uint64
-	_      [24]byte
+	// nWide counts the entries across wide's chains.
+	nWide     int
+	hits      uint64
+	misses    uint64
+	evictions uint64
+	_         [8]byte
 }
 
 // narrowKey identifies a ≤64-player coalition of one game.
@@ -99,29 +112,54 @@ func (s *ccShard) syncGen(gen uint64) bool {
 	if gen < s.gen {
 		return false
 	}
-	clear(s.narrow)
-	clear(s.wide)
+	s.drop()
 	s.gen = gen
 	return true
 }
 
-// packNarrow folds a ≤64-player membership into one word.
-func packNarrow(coalition []bool) uint64 {
-	var bits uint64
-	for i, in := range coalition {
-		if in {
-			bits |= 1 << uint(i)
-		}
-	}
-	return bits
+// drop empties the shard (callers hold mu).
+func (s *ccShard) drop() {
+	clear(s.narrow)
+	clear(s.wide)
+	s.nWide = 0
 }
 
-// wideStackWords sizes the stack buffer the wide-coalition paths pack
-// into: Binding packs a coalition once per operation and probes the
-// staging area and the shared cache with the same words, instead of each
-// probe packing into its own lock-guarded scratch. Coalitions up to
-// 64*wideStackWords players stay allocation-free; larger ones fall back
-// to one append-grown heap buffer per operation.
+// evict empties a full shard, counting the values it forgets (callers
+// hold mu).
+func (s *ccShard) evict() {
+	s.evictions += uint64(len(s.narrow) + s.nWide)
+	s.drop()
+}
+
+// full reports whether one more entry would exceed maxShardEntries.
+func (s *ccShard) full() bool { return len(s.narrow)+s.nWide >= maxShardEntries }
+
+// hasWide reports whether the chain at h holds (game, words).
+func (s *ccShard) hasWide(h, game uint64, words []uint64) bool {
+	for _, e := range s.wide[h] {
+		if e.game == game && slices.Equal(e.words, words) {
+			return true
+		}
+	}
+	return false
+}
+
+// narrowShard picks the shard of a ≤64-player key.
+func narrowShard(game, bits uint64) int { return int(mix64(bits^mix64(game)) & (cacheShards - 1)) }
+
+// narrowBits is the single membership word of a ≤64-player coalition in
+// packed form (no words at all for a game without players).
+func narrowBits(words []uint64) uint64 {
+	if len(words) == 0 {
+		return 0
+	}
+	return words[0]
+}
+
+// wideStackWords sizes the stack buffer callers holding a []bool
+// coalition pack into before probing: coalitions up to 64*wideStackWords
+// players stay allocation-free; larger ones fall back to one
+// append-grown heap buffer per operation.
 const wideStackWords = 8
 
 // Lookup returns the memoized value of (game, coalition) at generation
@@ -129,18 +167,18 @@ const wideStackWords = 8
 //
 //lint:hotpath
 func (c *CoalitionCache) Lookup(game, gen uint64, coalition []bool) (float64, bool) {
-	if len(coalition) <= 64 {
-		return c.lookupNarrow(game, gen, packNarrow(coalition))
-	}
 	var buf [wideStackWords]uint64
 	words := shapley.AppendPacked(buf[:0], coalition)
+	if len(words) <= 1 {
+		return c.lookupNarrow(game, gen, narrowBits(words))
+	}
 	return c.lookupWide(game, gen, shapley.HashPacked(words)^mix64(game), words)
 }
 
 // lookupNarrow is Lookup for a pre-packed ≤64-player coalition.
 func (c *CoalitionCache) lookupNarrow(game, gen, bits uint64) (float64, bool) {
 	key := narrowKey{game: game, bits: bits}
-	s := &c.shards[mix64(key.bits^mix64(key.game))&(cacheShards-1)]
+	s := &c.shards[narrowShard(game, bits)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.syncGen(gen) {
@@ -182,46 +220,106 @@ func (c *CoalitionCache) lookupWide(game, gen, h uint64, words []uint64) (float6
 //
 //lint:hotpath
 func (c *CoalitionCache) Store(game, gen uint64, coalition []bool, v float64) {
-	if len(coalition) <= 64 {
-		c.storeNarrow(game, gen, packNarrow(coalition), v)
+	var buf [wideStackWords]uint64
+	words := shapley.AppendPacked(buf[:0], coalition)
+	if len(words) <= 1 {
+		c.storeNarrow(game, gen, narrowBits(words), v)
 		return
 	}
-	c.storeWide(game, gen, shapley.AppendPacked(nil, coalition), v)
-}
-
-// storeNarrow stores a pre-packed ≤64-player coalition value (the direct
-// Store path and Txn.Commit both land here).
-func (c *CoalitionCache) storeNarrow(game, gen, bits uint64, v float64) {
-	key := narrowKey{game: game, bits: bits}
-	s := &c.shards[mix64(key.bits^mix64(key.game))&(cacheShards-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.syncGen(gen) {
-		s.narrow[key] = v
-	}
-}
-
-// storeWide stores a pre-packed >64-player coalition value.
-func (c *CoalitionCache) storeWide(game, gen uint64, words []uint64, v float64) {
 	c.storeWideH(game, gen, shapley.HashPacked(words)^mix64(game), words, v)
 }
 
-// storeWideH is storeWide with the chain key precomputed; h as in
-// lookupWide.
-func (c *CoalitionCache) storeWideH(game, gen, h uint64, words []uint64, v float64) {
-	s := &c.shards[h&(cacheShards-1)]
+// storeNarrow stores a pre-packed ≤64-player coalition value.
+func (c *CoalitionCache) storeNarrow(game, gen, bits uint64, v float64) {
+	key := narrowKey{game: game, bits: bits}
+	s := &c.shards[narrowShard(game, bits)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.syncGen(gen) {
 		return
 	}
-	for _, e := range s.wide[h] {
-		if e.game == game && slices.Equal(e.words, words) {
-			return
+	if s.full() {
+		if _, ok := s.narrow[key]; !ok {
+			s.evict()
 		}
+	}
+	s.narrow[key] = v
+}
+
+// storeWideH stores a pre-packed >64-player coalition value; h as in
+// lookupWide. words is cloned on insert, so callers may reuse it.
+func (c *CoalitionCache) storeWideH(game, gen, h uint64, words []uint64, v float64) {
+	s := &c.shards[h&(cacheShards-1)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.syncGen(gen) || s.hasWide(h, game, words) {
+		return
+	}
+	if s.full() {
+		s.evict()
 	}
 	//lint:allow allocfree a first-time insert must own its packed key; hits (the steady state) return above without cloning
 	s.wide[h] = append(s.wide[h], wideGameEntry{game: game, words: slices.Clone(words), v: v})
+	s.nWide++
+}
+
+// shardBatch is one shard's share of a committed transaction.
+type shardBatch struct {
+	narrow []txnNarrow
+	wide   []txnWide
+}
+
+// txnNarrow and txnWide are staged values bound for one shard.
+type txnNarrow struct {
+	key txnCoalKey
+	v   float64
+}
+
+type txnWide struct {
+	h uint64
+	e txnWideEntry
+}
+
+// publish stores one shard's committed values as a unit. Only the newest
+// generation among them can survive (older stores would be dropped or
+// cleared by it), and whether to evict is decided once, before any value
+// is inserted, from the shard's size and the batch's — so the shard's
+// contents never depend on the order the transaction's maps were iterated
+// in. A batch larger than maxShardEntries is published whole; the next
+// store evicts it.
+func (c *CoalitionCache) publish(i int, b *shardBatch) {
+	if len(b.narrow)+len(b.wide) == 0 {
+		return
+	}
+	var gen uint64
+	for _, e := range b.narrow {
+		gen = max(gen, e.key.gen)
+	}
+	for _, e := range b.wide {
+		gen = max(gen, e.e.gen)
+	}
+	s := &c.shards[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.syncGen(gen) {
+		return
+	}
+	if len(s.narrow)+s.nWide+len(b.narrow)+len(b.wide) > maxShardEntries {
+		s.evict()
+	}
+	for _, e := range b.narrow {
+		if e.key.gen == gen {
+			s.narrow[narrowKey{game: e.key.game, bits: e.key.bits}] = e.v
+		}
+	}
+	for _, e := range b.wide {
+		if e.e.gen == gen && !s.hasWide(e.h, e.e.game, e.e.words) {
+			// The staged words are already a private clone; the cache
+			// takes them over.
+			s.wide[e.h] = append(s.wide[e.h], wideGameEntry{game: e.e.game, words: e.e.words, v: e.e.v})
+			s.nWide++
+		}
+	}
 }
 
 // Len returns the number of memoized entries across shards (test and
@@ -279,8 +377,7 @@ func (c *CoalitionCache) Clear() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		clear(s.narrow)
-		clear(s.wide)
+		s.drop()
 		s.mu.Unlock()
 	}
 }
@@ -295,6 +392,20 @@ func (c *CoalitionCache) Stats() (hits, misses uint64) {
 		s.mu.Unlock()
 	}
 	return hits, misses
+}
+
+// Evictions returns the number of values dropped because their shard was
+// full, summed over shards. Generation invalidation and Clear are not
+// evictions.
+func (c *CoalitionCache) Evictions() uint64 {
+	var n uint64
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += s.evictions
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // Binding is one game's handle on the shared coalition cache: the interned
@@ -329,31 +440,30 @@ func (e *Engine) Bind(desc string, gen func() uint64) *Binding {
 	return &Binding{cache: e.cache, id: e.GameID(desc), gen: gen}
 }
 
-// Lookup returns the memoized value of the coalition at the current
-// generation; gen must be passed to the Store that memoizes a miss.
+// Lookup returns the memoized value of a coalition, packed as
+// shapley.AppendPacked lays it out, at the current generation; gen must
+// be passed to the Store that memoizes a miss.
 //
 //lint:hotpath
-func (b *Binding) Lookup(coalition []bool) (v float64, gen uint64, ok bool) {
+func (b *Binding) Lookup(words []uint64) (v float64, gen uint64, ok bool) {
 	if b == nil {
 		return 0, 0, false
 	}
 	gen = b.gen()
-	v, ok = b.lookupAt(gen, coalition)
+	v, ok = b.lookupAt(gen, words)
 	return v, gen, ok
 }
 
-// lookupAt packs and hashes the coalition once and probes the staging area
+// lookupAt hashes the packed coalition once and probes the staging area
 // and the shared cache with the same key.
-func (b *Binding) lookupAt(gen uint64, coalition []bool) (float64, bool) {
-	if len(coalition) <= 64 {
-		bits := packNarrow(coalition)
+func (b *Binding) lookupAt(gen uint64, words []uint64) (float64, bool) {
+	if len(words) <= 1 {
+		bits := narrowBits(words)
 		if v, ok := b.txn.stagedNarrow(b.id, gen, bits); ok {
 			return v, true
 		}
 		return b.cache.lookupNarrow(b.id, gen, bits)
 	}
-	var buf [wideStackWords]uint64
-	words := shapley.AppendPacked(buf[:0], coalition)
 	h := shapley.HashPacked(words) ^ mix64(b.id)
 	if v, ok := b.txn.stagedWide(b.id, gen, h, words); ok {
 		return v, ok
@@ -367,30 +477,32 @@ func (b *Binding) lookupAt(gen uint64, coalition []bool) (float64, bool) {
 // stamp: looking up at the *live* generation could hit a value another
 // explain computed after a concurrent session edit, mixing two table
 // states into one walk's estimates. A stale stamp (the table moved on)
-// simply misses.
+// simply misses. Walks pass the packed membership they maintain one
+// player at a time (shapley.Packed), so no evaluation repacks its key.
 //
 //lint:hotpath
-func (b *Binding) LookupAt(gen uint64, coalition []bool) (float64, bool) {
+func (b *Binding) LookupAt(gen uint64, words []uint64) (float64, bool) {
 	if b == nil {
 		return 0, false
 	}
-	return b.lookupAt(gen, coalition)
+	return b.lookupAt(gen, words)
 }
 
-// Store memoizes a value computed at the generation a prior Lookup
-// reported. No-op on a nil binding. SiteCacheStore is the fault-injection
-// checkpoint here: a scheduled cancellation lands exactly between
-// computing a value and publishing it, the moment the
+// Store memoizes the value of a packed coalition computed at the
+// generation a prior Lookup reported; words is copied, so callers may
+// keep mutating it. No-op on a nil binding. SiteCacheStore is the
+// fault-injection checkpoint here: a scheduled cancellation lands exactly
+// between computing a value and publishing it, the moment the
 // no-partial-work-poisoning invariant guards.
 //
 //lint:hotpath
-func (b *Binding) Store(gen uint64, coalition []bool, v float64) {
+func (b *Binding) Store(gen uint64, words []uint64, v float64) {
 	if b == nil {
 		return
 	}
 	faults.Hit(faults.SiteCacheStore)
-	if len(coalition) <= 64 {
-		bits := packNarrow(coalition)
+	if len(words) <= 1 {
+		bits := narrowBits(words)
 		if b.txn != nil {
 			b.txn.stageNarrow(b.id, gen, bits, v)
 			return
@@ -398,8 +510,6 @@ func (b *Binding) Store(gen uint64, coalition []bool, v float64) {
 		b.cache.storeNarrow(b.id, gen, bits, v)
 		return
 	}
-	var buf [wideStackWords]uint64
-	words := shapley.AppendPacked(buf[:0], coalition)
 	h := shapley.HashPacked(words) ^ mix64(b.id)
 	if b.txn != nil {
 		b.txn.stageWide(b.id, gen, h, words, v)
@@ -424,7 +534,9 @@ func (cg *CachedGame) NumPlayers() int { return cg.g.NumPlayers() }
 //
 //lint:hotpath
 func (cg *CachedGame) Value(ctx context.Context, coalition []bool) (float64, error) {
-	v, gen, ok := cg.b.Lookup(coalition)
+	var buf [wideStackWords]uint64
+	words := shapley.AppendPacked(buf[:0], coalition)
+	v, gen, ok := cg.b.Lookup(words)
 	if ok {
 		return v, nil
 	}
@@ -432,6 +544,6 @@ func (cg *CachedGame) Value(ctx context.Context, coalition []bool) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	cg.b.Store(gen, coalition, v)
+	cg.b.Store(gen, words, v)
 	return v, nil
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"repro/internal/shapley"
 	"repro/internal/table"
 )
 
@@ -119,10 +120,10 @@ func TestEngineRepairTargets(t *testing.T) {
 
 func TestBindingNilSafe(t *testing.T) {
 	var b *Binding
-	if _, _, ok := b.Lookup([]bool{true}); ok {
+	if _, _, ok := b.Lookup([]uint64{1}); ok {
 		t.Fatal("nil binding must miss")
 	}
-	b.Store(1, []bool{true}, 1) // must not panic
+	b.Store(1, []uint64{1}, 1) // must not panic
 	var nilEngine *Engine
 	if nilEngine.Bind("d", func() uint64 { return 0 }) != nil {
 		t.Fatal("nil engine must bind to nil")
@@ -133,7 +134,7 @@ func TestBindingSharesCacheWithCachedGame(t *testing.T) {
 	e := NewEngine(1)
 	gen := func() uint64 { return 42 }
 	b := e.Bind("game", gen)
-	coalition := []bool{true, false, true}
+	coalition := shapley.AppendPacked(nil, []bool{true, false, true})
 	if _, _, ok := b.Lookup(coalition); ok {
 		t.Fatal("fresh binding must miss")
 	}
@@ -163,7 +164,7 @@ func TestBindingStaleStoreDropped(t *testing.T) {
 	e := NewEngine(1)
 	cur := uint64(10)
 	b := e.Bind("game", func() uint64 { return cur })
-	coalition := []bool{true}
+	coalition := []uint64{1}
 	_, gen, _ := b.Lookup(coalition)
 	// A table edit lands while the value is being computed.
 	cur = 11

@@ -109,10 +109,8 @@ func (t *Txn) CachedGame(desc string, gen func() uint64, g shapley.Game) shapley
 
 // stageNarrow records one pre-packed ≤64-player coalition value in the
 // staging area. The packed-key API (here and the three siblings below)
-// exists so Binding can pack and hash one coalition exactly once per
-// operation and probe staging and the shared cache with the same key —
-// wide games evaluate tens of thousands of coalitions per explain, and a
-// second packing pass per probe was a measured regression (soccer48 rows).
+// lets Binding hash a coalition's packed words once per operation and
+// probe staging and the shared cache with the same key.
 func (t *Txn) stageNarrow(game, gen, bits uint64, v float64) {
 	key := txnCoalKey{game: game, gen: gen, bits: bits}
 	t.staged.Add(1)
@@ -221,15 +219,23 @@ func (t *Txn) Commit() {
 	coal, wide, repairs := t.coal, t.wide, t.repairs
 	t.coal, t.wide, t.repairs = nil, nil, nil
 	t.mu.Unlock()
-	//lint:allow detmap republication into a keyed cache: keys are unique, last-write-wins per key, order cannot affect contents
+	// Group by shard first, so each shard decides its eviction once from
+	// the whole batch (CoalitionCache.publish).
+	var byShard [cacheShards]shardBatch
+	//lint:allow detmap grouping by shard; publish makes each shard's contents independent of the order within its batch
 	for key, v := range coal {
-		t.e.cache.storeNarrow(key.game, key.gen, key.bits, v)
+		b := &byShard[narrowShard(key.game, key.bits)]
+		b.narrow = append(b.narrow, txnNarrow{key: key, v: v})
 	}
-	//lint:allow detmap republication into a keyed cache: keys are unique, last-write-wins per key, order cannot affect contents
+	//lint:allow detmap grouping by shard; publish makes each shard's contents independent of the order within its batch
 	for h, es := range wide {
+		b := &byShard[h&(cacheShards-1)]
 		for _, e := range es {
-			t.e.cache.storeWideH(e.game, e.gen, h, e.words, e.v)
+			b.wide = append(b.wide, txnWide{h: h, e: e})
 		}
+	}
+	for i := range byShard {
+		t.e.cache.publish(i, &byShard[i])
 	}
 	//lint:allow detmap republication into a keyed store: descriptors are unique, order cannot affect contents
 	for desc, e := range repairs {

@@ -26,17 +26,17 @@ func TestTxnAbortLeavesCachesPristine(t *testing.T) {
 	txn := e.Begin()
 	gen := func() uint64 { return 7 }
 	b := txn.Bind("doomed", gen)
-	b.Store(7, []bool{true, true}, 1.25)
+	b.Store(7, []uint64{0b11}, 1.25)
 	wide := make([]bool, 100)
 	wide[0], wide[99] = true, true
-	b.Store(7, wide, 2.5)
+	b.Store(7, shapley.AppendPacked(nil, wide), 2.5)
 	txn.RepairStore("doomed-repair", 7, []table.CellDiff{{Ref: table.CellRef{Row: 1, Col: 1}}})
 
 	// The run sees its own staged writes...
-	if v, ok := b.LookupAt(7, []bool{true, true}); !ok || v != 1.25 {
+	if v, ok := b.LookupAt(7, []uint64{0b11}); !ok || v != 1.25 {
 		t.Fatalf("staged narrow lookup = %v, %v", v, ok)
 	}
-	if v, ok := b.LookupAt(7, wide); !ok || v != 2.5 {
+	if v, ok := b.LookupAt(7, shapley.AppendPacked(nil, wide)); !ok || v != 2.5 {
 		t.Fatalf("staged wide lookup = %v, %v", v, ok)
 	}
 	if _, ok := txn.RepairLookup("doomed-repair", 7); !ok {
@@ -70,19 +70,19 @@ func TestTxnCommitPublishes(t *testing.T) {
 	gen := func() uint64 { return 3 }
 	b := txn.Bind("published", gen)
 	narrow := []bool{true, false, true, false}
-	b.Store(3, narrow, 4.5)
+	b.Store(3, shapley.AppendPacked(nil, narrow), 4.5)
 	wide := make([]bool, 70)
 	wide[69] = true
-	b.Store(3, wide, 5.5)
+	b.Store(3, shapley.AppendPacked(nil, wide), 5.5)
 	txn.RepairStore("published-repair", 3, []table.CellDiff{{Ref: table.CellRef{Row: 2, Col: 0}}})
 	txn.Commit()
 
 	// A fresh (non-transactional) binding — the next run — must hit.
 	nb := e.Bind("published", gen)
-	if v, ok := nb.LookupAt(3, narrow); !ok || v != 4.5 {
+	if v, ok := nb.LookupAt(3, shapley.AppendPacked(nil, narrow)); !ok || v != 4.5 {
 		t.Fatalf("committed narrow value = %v, %v", v, ok)
 	}
-	if v, ok := nb.LookupAt(3, wide); !ok || v != 5.5 {
+	if v, ok := nb.LookupAt(3, shapley.AppendPacked(nil, wide)); !ok || v != 5.5 {
 		t.Fatalf("committed wide value = %v, %v", v, ok)
 	}
 	if diffs, ok := e.RepairTargets().Lookup("published-repair", 3); !ok || len(diffs) != 1 {
@@ -102,7 +102,7 @@ func TestTxnCommitKeepsGenerationGuards(t *testing.T) {
 	// ...while the txn staged a value computed back at generation 8.
 	txn := e.Begin()
 	b := txn.Bind("stale", func() uint64 { return 8 })
-	b.Store(8, coalition, 99.0)
+	b.Store(8, shapley.AppendPacked(nil, coalition), 99.0)
 	txn.Commit()
 	if _, ok := e.Cache().Lookup(id, 8, coalition); ok {
 		t.Fatal("stale committed store must be dropped by the generation guard")
@@ -120,7 +120,7 @@ func TestTxnReadsFallThroughToSharedCache(t *testing.T) {
 	e.Cache().Store(e.GameID("fall"), 2, coalition, 7.5)
 	txn := e.Begin()
 	b := txn.Bind("fall", func() uint64 { return 2 })
-	if v, ok := b.LookupAt(2, coalition); !ok || v != 7.5 {
+	if v, ok := b.LookupAt(2, shapley.AppendPacked(nil, coalition)); !ok || v != 7.5 {
 		t.Fatalf("txn binding must read the warm shared entry: %v, %v", v, ok)
 	}
 	txn.Abort()
@@ -192,7 +192,7 @@ func TestTxnConcurrentStaging(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				c := []bool{w&1 == 0, i&1 == 0, true}
+				c := shapley.AppendPacked(nil, []bool{w&1 == 0, i&1 == 0, true})
 				b.Store(1, c, float64(i))
 				b.LookupAt(1, c)
 			}
@@ -216,13 +216,100 @@ func TestBindingStoreHitsFaultSite(t *testing.T) {
 	e := NewEngine(1)
 	txn := e.Begin()
 	b := txn.Bind("site", func() uint64 { return 1 })
-	b.Store(1, []bool{true}, 1)
+	b.Store(1, []uint64{1}, 1)
 	if canceled {
 		t.Fatal("ordinal 1 must not fire a rule scheduled at ordinal 2")
 	}
-	b.Store(1, []bool{false}, 2)
+	b.Store(1, []uint64{0}, 2)
 	if !canceled {
 		t.Fatal("second store must trip the scheduled cancellation")
 	}
 	txn.Abort()
+}
+
+// wideCoalition packs a 100-player coalition whose members spell k.
+func wideCoalition(k int) []uint64 {
+	c := make([]bool, 100)
+	for i := 0; i < 30; i++ {
+		c[i] = k&(1<<i) != 0
+	}
+	c[99] = true
+	return shapley.AppendPacked(nil, c)
+}
+
+// TestCoalitionCacheShardCap: one generation's stores past the cap, from
+// several goroutines, evict whole shards instead of growing the cache,
+// and every stored value is either still present or counted as evicted.
+func TestCoalitionCacheShardCap(t *testing.T) {
+	e := NewEngine(1)
+	b := e.Bind("capped", func() uint64 { return 1 })
+	const workers, n = 4, 3 * cacheShards * maxShardEntries / 2
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := w; k < n; k += workers {
+				b.Store(1, []uint64{uint64(k)}, 1)
+				b.Store(1, wideCoalition(k), 2)
+				b.LookupAt(1, []uint64{uint64(k / 2)})
+			}
+		}(w)
+	}
+	wg.Wait()
+	c := e.Cache()
+	if got := c.Len(); got > cacheShards*maxShardEntries {
+		t.Fatalf("cache holds %d values, cap is %d", got, cacheShards*maxShardEntries)
+	}
+	if c.Evictions() == 0 {
+		t.Fatal("stores past the cap must evict")
+	}
+	if got := uint64(c.Len()) + c.Evictions(); got != 2*n {
+		t.Fatalf("present %d + evicted %d != stored %d", c.Len(), c.Evictions(), 2*n)
+	}
+	// A generation move clears without counting evictions.
+	ev := c.Evictions()
+	e.Bind("capped", func() uint64 { return 2 }).Store(2, []uint64{1}, 1)
+	if c.Evictions() != ev {
+		t.Fatal("generation invalidation is not an eviction")
+	}
+}
+
+// TestTxnCommitEvictionIsDeterministic: a commit that pushes shards past
+// the cap leaves the same contents whatever order the transaction's maps
+// iterate in — the shard decides its eviction once per batch.
+func TestTxnCommitEvictionIsDeterministic(t *testing.T) {
+	run := func() (uint64, uint64, int) {
+		e := NewEngine(1)
+		warm := e.Bind("game", func() uint64 { return 1 })
+		// About seven eighths full, so the commit below, not the warm-up,
+		// overflows the shards.
+		for k := 0; k < cacheShards*maxShardEntries*7/10; k++ {
+			warm.Store(1, []uint64{uint64(k)}, 1)
+			if k%4 == 0 {
+				warm.Store(1, wideCoalition(k), 1)
+			}
+		}
+		if e.Cache().Evictions() != 0 {
+			t.Fatal("fixture must not evict before the commit")
+		}
+		txn := e.Begin()
+		b := txn.Bind("game", func() uint64 { return 1 })
+		for k := 0; k < cacheShards*maxShardEntries/4; k++ {
+			b.Store(1, []uint64{uint64(1<<40 + k)}, 3)
+			b.Store(1, wideCoalition(1<<29+k), 4)
+		}
+		txn.Commit()
+		c := e.Cache()
+		return c.Fingerprint(), c.Evictions(), c.Len()
+	}
+	fp, ev, n := run()
+	if ev == 0 {
+		t.Fatal("fixture must push shards past the cap at commit")
+	}
+	for i := 0; i < 5; i++ {
+		if gfp, gev, gn := run(); gfp != fp || gev != ev || gn != n {
+			t.Fatalf("run %d: fingerprint %x evictions %d len %d, want %x %d %d", i, gfp, gev, gn, fp, ev, n)
+		}
+	}
 }

@@ -118,12 +118,10 @@ func (f *FDChase) Repair(ctx context.Context, cs []*dc.Constraint, dirty *table.
 // RepairInto implements ScratchRepairer: Repair writing into the
 // caller-owned work table. The left-hand-side grouping reuses the live
 // set's incrementally-maintained hash-join partition, and each pass
-// visits only groups currently containing a violating pair (all non-empty
-// groups below the live set's materialization threshold). Group visit
-// order — first-violating-row order, or bucket-interning order on small
-// tables — does not affect the result: groups are disjoint and each chase
-// writes only its own group's right-hand sides, so the fixpoint is
-// deterministic either way.
+// visits only groups currently containing a violating pair, in
+// first-violating-row order. Visit order does not affect the result:
+// groups are disjoint and each chase writes only its own group's
+// right-hand sides, so the fixpoint is deterministic.
 //
 //lint:hotpath
 func (f *FDChase) RepairInto(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table) (*table.Table, error) {
@@ -213,8 +211,7 @@ func chaseFDWith(t *table.Table, e chaseEntry, st *chaseRun, pool *exec.Pool) (b
 // chase's visit order — and since groups are disjoint in both the rows
 // read and the (row, rhs) cells written, the resulting table is
 // bit-identical to chaseFD's. handled is false when the live set declines
-// to expose the partition (bypass tables, no join key); the caller then
-// chases serially.
+// to expose the partition (no join key); the caller then chases serially.
 func chaseFDParallel(t *table.Table, e chaseEntry, st *chaseRun, pool *exec.Pool) (changed, handled bool, err error) {
 	groups, ok, err := st.live.AppendViolatingGroups(e.c, t, st.groups[:0])
 	st.groups = groups

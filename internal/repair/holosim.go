@@ -14,7 +14,7 @@ import (
 
 // HoloSim is a HoloClean-style probabilistic repairer. It substitutes for
 // the real HoloClean system (Rekatsinas et al., PVLDB 2017) that the
-// paper's prototype queries — see DESIGN.md §6. The pipeline mirrors
+// paper's prototype queries. The pipeline mirrors
 // HoloClean's stages:
 //
 //  1. Error detection: a cell is suspect when its attribute appears in an

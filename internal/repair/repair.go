@@ -8,7 +8,7 @@
 //     and conditional-most-probable fixes) generalized to arbitrary DC sets;
 //   - HoloSim: a HoloClean-style probabilistic cleaner (detect → candidate
 //     domains → features → log-linear inference), substituting for the real
-//     HoloClean per DESIGN.md §6;
+//     HoloClean;
 //   - Greedy: a holistic violation-hypergraph baseline in the spirit of
 //     Chu, Ilyas and Papotti (ICDE 2013);
 //   - FDChase: an equivalence-class chase for FD-shaped DCs in the spirit
@@ -35,6 +35,15 @@
 //     insert or swap-delete renumbered tuples), CopyFrom resets the work
 //     table's edit log instead, so the pooled index rebuilds rather than
 //     replaying cell deltas against reshuffled row identities.
+//   - the refresh itself costs the changed cells, not the table: a work
+//     table refreshed from the same dirty table as last time compares
+//     only the cells the dirty table's edit log and its own log name
+//     since then — the coalition walk's one-cell step plus the cells the
+//     previous repair wrote. It compares every cell after a switch of
+//     dirty table, a structural edit or ring overrun on either side, or
+//     inside an open ApplyBatch (see table.CopyFrom). Implementations
+//     must therefore write work only through the table's logged
+//     mutators, which the editlog analyzer enforces.
 //   - determinism is preserved: for a fixed (cs, dirty) input the output
 //     is byte-identical to Repair's, whatever state the pooled buffers
 //     carry over — Shapley values are defined over a function, so any

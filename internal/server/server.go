@@ -2,7 +2,7 @@
 // single-page GUI with the three screens of Figure 3 (input, repair,
 // explanation) and the iterative edit loop of Figure 4. It substitutes a
 // stdlib net/http implementation for the paper's JavaScript/CSS/HTML
-// front-end and Python backend (DESIGN.md §6).
+// front-end and Python backend.
 package server
 
 import (

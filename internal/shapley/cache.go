@@ -204,6 +204,23 @@ func AppendPacked(dst []uint64, coalition []bool) []uint64 {
 	return dst
 }
 
+// Packed is a coalition in AppendPacked's layout — player i is bit i%64
+// of word i/64 — for walks that change membership one player at a time
+// and so keep their cache key current without repacking.
+type Packed []uint64
+
+// NewPacked returns the empty coalition over n players.
+func NewPacked(n int) Packed { return make(Packed, (n+63)/64) }
+
+// Has reports whether player i is a member.
+func (p Packed) Has(i int) bool { return p[i>>6]&(1<<uint(i&63)) != 0 }
+
+// Add makes player i a member.
+func (p Packed) Add(i int) { p[i>>6] |= 1 << uint(i&63) }
+
+// Remove drops player i.
+func (p Packed) Remove(i int) { p[i>>6] &^= 1 << uint(i&63) }
+
 // HashPacked hashes pre-packed membership words with exactly the
 // function HashCoalition applies to a live coalition: HashPacked(
 // AppendPacked(nil, c)) == HashCoalition(c) for every coalition c. It

@@ -2,7 +2,9 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // CellRef addresses a single cell by row index and column index. It is the
@@ -43,7 +45,20 @@ type Table struct {
 	// batchDepth counts open ApplyBatch brackets; while positive, mutations
 	// share the generation minted when the outermost bracket opened.
 	batchDepth int
+	// id names the table to CopyFrom's delta refresh without keeping it
+	// alive; 0 (a zero-value Table) is never tracked.
+	id uint64
+	// copySrc is the id of the table the last CopyFrom copied, and
+	// copySrcGen/copyOwnGen the two generations right after it; 0 when
+	// the next CopyFrom must compare every cell.
+	copySrc                uint64
+	copySrcGen, copyOwnGen uint64
+	// copyBuf is CopyFrom's pooled edit-window scratch.
+	copyBuf []Edit
 }
+
+// tableIDs mints Table.id values.
+var tableIDs atomic.Uint64
 
 // EditKind discriminates the entries of the typed edit log.
 type EditKind uint8
@@ -84,6 +99,10 @@ const (
 	editLogInitial = 32
 	editLogWindow  = 512
 )
+
+// EditsSince wraps ring positions by masking: the ring starts at a power
+// of two and doubles, which this fails to compile without.
+const _ uint = -(editLogInitial & (editLogInitial - 1))
 
 // logEdit bumps the generation and appends one cell overwrite to the
 // ring. It reduces to a single call into logTyped so Set/SetRef stay one
@@ -156,12 +175,12 @@ func (t *Table) invalidateEdits() {
 // table is unchanged. Row inserts and deletes are ordinary log entries:
 // consumers replay them through RowRemap instead of rebuilding.
 //
-// Cost is O(log window + |edits returned|): retained entries carry
-// non-decreasing generations in ring order (batched edits share one), so
-// the first entry past gen is found by binary search instead of scanning
-// the whole ring — incremental consumers (scan indexes, live violation
-// lists, statistics syncs) typically ask for a handful of edits out of a
-// full ring on every evaluation.
+// Cost is O(1 + |edits returned|): retained entries carry non-decreasing
+// generations in ring order (batched edits share one), so the window is
+// found by walking back from the newest entry instead of scanning the
+// whole ring — incremental consumers (scan indexes, live violation
+// lists, statistics syncs, CopyFrom) typically ask for a handful of
+// edits out of a full ring on every evaluation.
 //
 // Calling EditsSince while an ApplyBatch bracket is open is outside the
 // contract: the batch generation is already minted, so a mid-batch
@@ -173,30 +192,25 @@ func (t *Table) EditsSince(gen uint64, buf []Edit) ([]Edit, bool) {
 	if gen >= t.gen {
 		return buf, true
 	}
-	// Oldest retained entry sits editLen slots behind editHead.
-	start := t.editHead - t.editLen
-	if start < 0 {
-		start += len(t.edits)
+	// Retained entries carry non-decreasing generations, so the window is
+	// a suffix of the ring: walk back from the newest entry. The ring
+	// length is a power of two, so positions wrap by masking.
+	mask := len(t.edits) - 1
+	n := 0
+	for n < t.editLen && t.edits[(t.editHead-1-n)&mask].Gen > gen {
+		n++
 	}
-	// Binary search the smallest i with edits[(start+i)%len].Gen > gen.
-	lo, hi := 0, t.editLen
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.edits[(start+mid)%len(t.edits)].Gen > gen {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	first := (t.editHead - n) & mask
+	if tail := len(t.edits) - first; n > tail {
+		buf = append(buf, t.edits[first:]...)
+		return append(buf, t.edits[:n-tail]...), true
 	}
-	for i := lo; i < t.editLen; i++ {
-		buf = append(buf, t.edits[(start+i)%len(t.edits)])
-	}
-	return buf, true
+	return append(buf, t.edits[first:first+n]...), true
 }
 
 // New creates an empty table with the given schema.
 func New(schema *Schema) *Table {
-	return &Table{schema: schema}
+	return &Table{schema: schema, id: tableIDs.Add(1)}
 }
 
 // FromStrings builds a table by parsing a rectangular grid of raw strings
@@ -363,36 +377,53 @@ func (t *Table) Clone() *Table {
 	for i, r := range t.rows {
 		rows[i] = append([]Value(nil), r...)
 	}
-	return &Table{schema: t.schema, rows: rows}
+	return &Table{schema: t.schema, rows: rows, id: tableIDs.Add(1)}
 }
 
 // CopyFrom overwrites the table's contents with src's, reusing the existing
 // row storage when the shape matches. A shape-matching copy records every
-// cell whose content actually changed in the edit log, so scan indexes bound
-// to this table catch up with per-bucket deltas instead of rebuilding; a
-// shape change resets the log. It is the refresh step of the in-place repair
-// protocol (repair.ScratchRepairer): steady-state refreshes of a pooled work
-// table allocate nothing.
+// cell whose content actually changed in the edit log, in row-major
+// order, so scan indexes bound to this table catch up with per-bucket
+// deltas instead of rebuilding; a shape change resets the log. It is the
+// refresh step of the in-place repair protocol (repair.ScratchRepairer):
+// steady-state refreshes of a pooled work table allocate nothing.
+//
+// The delta-refresh contract: after a copy the table remembers src (by an
+// id that does not keep src alive) and both generations. The next
+// shape-matching CopyFrom from the same src compares only the cells in
+// src.EditsSince(srcGen) ∪ t.EditsSince(ownGen) — the cells either side
+// wrote since — because every other cell still holds the value it was
+// copied with. It falls back to comparing every cell when src is a
+// different table, the schema changed, either window is lost (ring
+// overrun, shape-changing copy) or holds a row insert or delete, or an
+// ApplyBatch bracket is open on either side, and when the windows span
+// more generations than an eighth of the table's cells, where comparing
+// every cell is cheaper. Both paths log every changed cell in row-major
+// order; only the full compare also re-logs unchanged NaN cells.
 func (t *Table) CopyFrom(src *Table) {
 	if t == src {
 		return
 	}
 	if t.schema == src.schema || (t.schema != nil && t.schema.Equal(src.schema)) {
 		if len(t.rows) == len(src.rows) {
-			for i, srcRow := range src.rows {
-				row := t.rows[i]
-				for j, v := range srcRow {
-					// Exact (kind-sensitive) comparison: SameContent unifies
-					// numeric kinds, but downstream hash-join keys do not, so
-					// the copy must be representation-faithful. NaN compares
-					// unequal to itself and is conservatively re-copied.
-					if row[j] != v {
-						row[j] = v
-						t.logEdit(i, j)
+			if !t.copyDelta(src) {
+				for i, srcRow := range src.rows {
+					row := t.rows[i]
+					for j, v := range srcRow {
+						// Exact (kind-sensitive) comparison: SameContent
+						// unifies numeric kinds, but downstream hash-join
+						// keys do not, so the copy must be
+						// representation-faithful. NaN compares unequal to
+						// itself and is conservatively re-copied.
+						if row[j] != v {
+							row[j] = v
+							t.logEdit(i, j)
+						}
 					}
 				}
 			}
 			t.schema = src.schema
+			t.noteCopy(src)
 			return
 		}
 	}
@@ -412,6 +443,57 @@ func (t *Table) CopyFrom(src *Table) {
 	}
 	t.bump()
 	t.invalidateEdits()
+	t.noteCopy(src)
+}
+
+// copyDelta is CopyFrom's delta refresh (see there): it copies and logs
+// the cells either side edited since the last copy from src, in row-major
+// order, and reports false — having changed nothing — when the windows
+// cannot be trusted and every cell must be compared.
+func (t *Table) copyDelta(src *Table) bool {
+	if src.id == 0 || t.copySrc != src.id || t.schema != src.schema || t.batchDepth != 0 || src.batchDepth != 0 {
+		return false
+	}
+	// Each generation is at least one edit; past an eighth of the cells,
+	// sorting and visiting the window costs more than comparing them all.
+	if (src.gen-t.copySrcGen)+(t.gen-t.copyOwnGen) > uint64(len(t.rows)*t.schema.Len()/8) {
+		return false
+	}
+	edits, ok := src.EditsSince(t.copySrcGen, t.copyBuf[:0])
+	if ok {
+		edits, ok = t.EditsSince(t.copyOwnGen, edits)
+	}
+	t.copyBuf = edits
+	if !ok || Structural(edits) {
+		return false
+	}
+	slices.SortFunc(edits, func(a, b Edit) int {
+		if a.Row != b.Row {
+			return a.Row - b.Row
+		}
+		return a.Col - b.Col
+	})
+	for k, e := range edits {
+		if k > 0 && e.Row == edits[k-1].Row && e.Col == edits[k-1].Col {
+			continue
+		}
+		if v := src.rows[e.Row][e.Col]; t.rows[e.Row][e.Col] != v {
+			t.rows[e.Row][e.Col] = v
+			t.logEdit(e.Row, e.Col)
+		}
+	}
+	return true
+}
+
+// noteCopy records src and both generations for the next CopyFrom's delta
+// refresh. Inside an open batch later edits share the current generation
+// and would hide from EditsSince, so nothing is recorded there.
+func (t *Table) noteCopy(src *Table) {
+	if t.batchDepth != 0 || src.batchDepth != 0 {
+		t.copySrc = 0
+		return
+	}
+	t.copySrc, t.copySrcGen, t.copyOwnGen = src.id, src.gen, t.gen
 }
 
 // Equal reports whether two tables have equal schemas and cell-wise
