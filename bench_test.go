@@ -27,14 +27,27 @@ func mustExplainer(b *testing.B, alg repair.Algorithm) (*core.Explainer, *data.L
 	return exp, ll
 }
 
+// freshExplainer builds a cold explainer. Benchmarks of the public explain
+// entry points build one per iteration: an explainer memoizes its
+// coalition values and Target, so a reused one would replay them.
+func freshExplainer(b *testing.B, alg repair.Algorithm, dcs []*dc.Constraint, dirty *table.Table) *core.Explainer {
+	b.Helper()
+	exp, err := core.NewExplainer(alg, dcs, dirty)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return exp
+}
+
 // BenchmarkFigure1ConstraintShapley measures the full exact constraint
 // explanation of Figure 1 (E1): 2^4 memoized black-box runs + ranking.
 func BenchmarkFigure1ConstraintShapley(b *testing.B) {
-	exp, ll := mustExplainer(b, repair.NewAlgorithm1())
+	ll := data.NewLaLiga()
+	alg := repair.NewAlgorithm1()
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.ExplainConstraints(ctx, ll.CellOfInterest); err != nil {
+		if _, err := freshExplainer(b, alg, ll.DCs, ll.Dirty).ExplainConstraints(ctx, ll.CellOfInterest); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,11 +69,12 @@ func BenchmarkFigure2Repair(b *testing.B) {
 // BenchmarkExample24CellShapley measures the sampled cell explanation of
 // Example 2.4 (E5) at a fixed budget of 64 permutations over 35 players.
 func BenchmarkExample24CellShapley(b *testing.B) {
-	exp, ll := mustExplainer(b, repair.NewAlgorithm1())
+	ll := data.NewLaLiga()
+	alg := repair.NewAlgorithm1()
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.ExplainCells(ctx, ll.CellOfInterest, core.CellExplainOptions{
+		if _, err := freshExplainer(b, alg, ll.DCs, ll.Dirty).ExplainCells(ctx, ll.CellOfInterest, core.CellExplainOptions{
 			Samples: 64, Seed: int64(i), Workers: 1,
 		}); err != nil {
 			b.Fatal(err)
@@ -126,15 +140,12 @@ func BenchmarkDemoCellDebug(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	exp, err := core.NewExplainer(repair.NewAlgorithm1(), cs, tbl)
-	if err != nil {
-		b.Fatal(err)
-	}
+	alg := repair.NewAlgorithm1()
 	cell := table.CellRef{Row: 3, Col: 2}
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.ExplainCells(ctx, cell, core.CellExplainOptions{Samples: 64, Seed: int64(i), Workers: 1}); err != nil {
+		if _, err := freshExplainer(b, alg, cs, tbl).ExplainCells(ctx, cell, core.CellExplainOptions{Samples: 64, Seed: int64(i), Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -241,15 +252,12 @@ func BenchmarkScaleRows(b *testing.B) {
 		dirty := clean.Clone()
 		cell := table.CellRef{Row: teams, Col: clean.Schema().MustIndex("Country")}
 		dirty.SetRef(cell, table.String("Inglaterra"))
-		exp, err := core.NewExplainer(repair.NewAlgorithm1(), data.SoccerDCs(), dirty)
-		if err != nil {
-			b.Fatal(err)
-		}
+		alg, cs := repair.NewAlgorithm1(), data.SoccerDCs()
 		b.Run("rows="+itoa(rows), func(b *testing.B) {
 			ctx := context.Background()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exp.ExplainCells(ctx, cell, core.CellExplainOptions{Samples: 8, Seed: int64(i), Workers: 1}); err != nil {
+				if _, err := freshExplainer(b, alg, cs, dirty).ExplainCells(ctx, cell, core.CellExplainOptions{Samples: 8, Seed: int64(i), Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -261,11 +269,12 @@ func BenchmarkScaleRows(b *testing.B) {
 // HoloClean-style black box (E12): the explainer's cost is dominated by
 // whichever repairer it queries.
 func BenchmarkHoloSimExplain(b *testing.B) {
-	exp, ll := mustExplainer(b, repair.NewHoloSim(1))
+	ll := data.NewLaLiga()
+	alg := repair.NewHoloSim(1)
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.ExplainConstraints(ctx, ll.CellOfInterest); err != nil {
+		if _, err := freshExplainer(b, alg, ll.DCs, ll.Dirty).ExplainConstraints(ctx, ll.CellOfInterest); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dc"
-	"repro/internal/exec"
 	"repro/internal/repair"
 	"repro/internal/table"
 )
@@ -98,13 +97,14 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	exp, err := core.NewExplainer(alg, dcs, dirty)
+	// One session engine for the whole invocation: parallel repair bucket
+	// passes and a coalition cache shared across the repair and explain
+	// phases.
+	sess, err := core.NewSessionWith(alg, dcs, dirty, core.SessionOptions{Workers: *workers})
 	if err != nil {
 		return err
 	}
-	// One engine for the whole invocation: parallel repair bucket passes
-	// and a coalition cache shared across the repair and explain phases.
-	exp.Engine = exec.NewEngine(*workers)
+	exp := sess.Explainer()
 	ctx := context.Background()
 
 	clean, diffs, err := exp.Repair(ctx)

@@ -37,7 +37,7 @@
 //     a walk's cache lookup and store never repack the coalition.
 //     Violation scans reuse their hash buckets across scans of one table
 //     generation (internal/dc.ScanIndex, keyed on table.Generation).
-//   - In-place repair protocol (internal/repair.ScratchRepairer): the
+//   - In-place repair protocol (internal/repair.PlannedRepairer): the
 //     black boxes themselves no longer Clone() per run. RepairInto
 //     refreshes a pooled work table (table.CopyFrom logs per-cell deltas
 //     and, refreshing from the table it copied last, visits only the
@@ -78,7 +78,8 @@
 //     session, borrowed non-blockingly so nested fan-outs (sampler workers
 //     whose repair passes parallelize) degrade to caller-only execution
 //     instead of oversubscribing. Repair black boxes reach it through
-//     repair.PartitionedRepairer: all four fan the live set's full
+//     repair.PlannedRepairer.RepairIntoPlanned, the entry point the one
+//     repair dispatch (repair.Run) calls: all four fan the live set's full
 //     violation derivations across disjoint buckets, and the FD chase
 //     additionally computes per-group majorities concurrently, applying
 //     them serially in the serial pass's group order. The serial path
@@ -112,7 +113,8 @@
 //     without materializing a clean table at all, Repair reconstructs
 //     clone-plus-patch. SetCell invalidates by generation; AddDC/RemoveDC
 //     re-key the descriptor (Engine.InvalidateCache). Golden tests pin
-//     replayed answers to engine-free runs for all four black boxes.
+//     replayed answers to cold-engine, unplanned reference runs for all
+//     four black boxes.
 //   - Incremental statistics (table.Stats.Sync): the per-column
 //     distributions and row snapshot behind repair rules and column
 //     sampling catch up from the table's edit log instead of rebuilding
@@ -131,7 +133,8 @@
 //     are deterministic per (coalition, generation) and the null policy
 //     consumes no RNG during evaluation, so cache participation can never
 //     change an estimate: Workers=1 ≡ Workers=N bit-identity and the
-//     golden equivalence to engine-free explainers both survive (tested).
+//     golden equivalence to cold-engine reference explainers both survive
+//     (tested).
 //     Sampled and exact paths over the same player roster intern one
 //     descriptor, so a screen switch replays the other path's values.
 //     Stochastic (ReplaceFromColumn) games never bind: a realization must
@@ -265,13 +268,13 @@
 // per row per generation instead of once per candidate pair; (d) hash
 // pre-sizing from cardinalities observed in earlier generations.
 //
-// Sessions compile lazily and memoize compiled plans in the engine's
-// plan cache (exec.PlanCache) keyed by (schema identity, DC-set
-// fingerprint); AddDC/RemoveDC invalidate and recompile, so the plan can
+// A session compiles its plan at construction and on every DC edit
+// (AddDC/RemoveDC), and owns it; there is no plan cache. The plan can
 // never go stale against the constraint set (the cacheinval analyzer
-// enforces the recompile on every mutation path). Every consumer —
-// ScanIndex, LiveViolationSet, the four black boxes' planned repair
-// paths, core.Session — takes the plan as an optional strategy: planned
+// enforces the recompile on every mutation path), and a one-shot
+// core.NewExplainer compiles its own. Every consumer — ScanIndex,
+// LiveViolationSet, the four black boxes' planned repair paths,
+// core.Session — takes the plan as an optional strategy: planned
 // execution is bit-identical to the per-constraint reference path, which
 // survives as the golden cross-check (fuzz and golden equivalence tests;
 // subset coarsening re-checks full kernels on scans and is never used
@@ -394,7 +397,7 @@
 //     mutation to return may skip invalidation, else the coalition cache
 //     serves stale values (the PR 5/6 coherence contract). Session
 //     DC-set/algorithm mutations must additionally be post-dominated by
-//     the plan-refresh surface (Session.refreshPlan / PlanCache.Clear),
+//     the plan-refresh surface (Session.refreshPlan alone),
 //     or the session keeps driving a constraint-set plan compiled for
 //     constraints that no longer exist (the PR 9 planner contract).
 //   - lockorder: mutex-acquisition-order cycles across a package (lock A

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dc"
 	"repro/internal/dc/plan"
-	"repro/internal/exec"
 	"repro/internal/table"
 )
 
@@ -165,22 +164,6 @@ func dcsetScenarios(short bool) []perfScenario {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = plan.Compile(tbl.Schema(), cs)
-			}
-		}},
-		perfScenario{name: "dcset/plan/cached/n=32", bench: func(b *testing.B) {
-			tbl, cs := dcsetTable(dcsetRows), dcsetConstraints(32)
-			pc := exec.NewPlanCache()
-			key := exec.PlanKey{Schema: tbl.Schema(), Fingerprint: plan.Fingerprint(cs)}
-			pc.Store(key, plan.Compile(tbl.Schema(), cs))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// What a session pays on a plan-cache hit: re-fingerprint
-				// the set, then one map lookup.
-				k := exec.PlanKey{Schema: tbl.Schema(), Fingerprint: plan.Fingerprint(cs)}
-				if _, ok := pc.Lookup(k); !ok {
-					b.Fatal("plan cache miss")
-				}
 			}
 		}},
 	)

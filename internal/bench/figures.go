@@ -89,11 +89,11 @@ func runEx22(w io.Writer) error {
 	target := table.String("Madrid")
 	ctx := context.Background()
 
-	with, err := repair.CellRepaired(ctx, alg, dc.Without(ll.DCs, "C4"), ll.Dirty, cell, target)
+	with, err := repair.CellRepaired(ctx, alg, dc.Without(ll.DCs, "C4"), ll.Dirty, cell, target, nil, nil)
 	if err != nil {
 		return err
 	}
-	without, err := repair.CellRepaired(ctx, alg, dc.Without(dc.Without(ll.DCs, "C4"), "C1"), ll.Dirty, cell, target)
+	without, err := repair.CellRepaired(ctx, alg, dc.Without(dc.Without(ll.DCs, "C4"), "C1"), ll.Dirty, cell, target, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -124,7 +124,7 @@ func runEx23(w io.Writer) error {
 				names = append(names, id)
 			}
 		}
-		got, err := repair.CellRepaired(ctx, alg, subset, ll.Dirty, ll.CellOfInterest, table.String("Spain"))
+		got, err := repair.CellRepaired(ctx, alg, subset, ll.Dirty, ll.CellOfInterest, table.String("Spain"), nil, nil)
 		if err != nil {
 			return err
 		}

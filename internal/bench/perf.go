@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dc"
-	"repro/internal/exec"
 	"repro/internal/repair"
 	"repro/internal/server"
 	"repro/internal/shapley"
@@ -141,7 +140,7 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 
 	// The in-place repair protocol: one coalition evaluation against the
 	// real Algorithm 1 on the paper's table, through the legacy
-	// clone-per-repair path (ScratchRepairer hidden behind Func) and the
+	// clone-per-repair path (PlannedRepairer hidden behind Func) and the
 	// pooled RepairInto path. The scratch row is the PR's headline number:
 	// zero steady-state bytes in the repairer.
 	ll, alg := dataLaLiga()
@@ -598,15 +597,18 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 	}})
 
 	if !short {
-		// End-to-end cell explanation against a real black box.
+		// End-to-end cell explanation against a real black box. Each
+		// iteration explains on a fresh explainer, so it computes its
+		// coalition values and Target instead of replaying an earlier
+		// iteration's.
 		ll, alg := dataLaLiga()
-		exp, err := core.NewExplainer(alg, ll.DCs, ll.Dirty)
-		if err != nil {
-			return nil, err
-		}
 		out = append(out, perfScenario{name: "explain-cells/laliga/m=64", bench: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				exp, err := core.NewExplainer(alg, ll.DCs, ll.Dirty)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if _, err := exp.ExplainCells(ctx, ll.CellOfInterest, core.CellExplainOptions{Samples: 64, Seed: int64(i), Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
@@ -625,11 +627,11 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 				cell := table.CellRef{Row: 5, Col: country}
 				big.Set(cell.Row, cell.Col, table.String("Wrongland"))
 				cs := data.SoccerDCs()
-				exp, err := core.NewExplainer(repair.NewRuleRepair(cs), cs, big)
+				sess, err := core.NewSessionWith(repair.NewRuleRepair(cs), cs, big, core.SessionOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
-				exp.Engine = exec.NewEngine(workers)
+				exp := sess.Explainer()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dc"
+	"repro/internal/dc/plan"
 	"repro/internal/exec"
 	"repro/internal/repair"
 	"repro/internal/shapley"
@@ -40,21 +41,22 @@ type Explainer struct {
 	DCs []*dc.Constraint
 	// Dirty is T_d.
 	Dirty *table.Table
-	// Engine, when set, is the session execution layer every hot path
-	// draws from: exact enumerations memoize coalition values in its
-	// *shared* generation-keyed cache (surviving this explainer and this
-	// game), and repairs fan disjoint-bucket passes across its bounded
-	// worker pool. Session.Explainer wires it; a nil Engine degrades to
-	// per-game caches and serial repair, preserving all semantics.
-	Engine *exec.Engine
-	// Plan, when set, is the compiled constraint-set query plan for
-	// (Dirty's schema, DCs): every black-box repair this explainer runs
-	// executes its violation scans behind it — shared hash partitions,
+
+	// engine is the execution layer every hot path draws from: exact
+	// enumerations memoize coalition values in its *shared*
+	// generation-keyed cache (surviving this explainer and this game), and
+	// repairs fan disjoint-bucket passes across its bounded worker pool.
+	// NewExplainer wires a fresh serial engine; Session.Explainer wires
+	// the session's.
+	engine *exec.Engine
+	// plan is the compiled constraint-set query plan for (Dirty's schema,
+	// DCs): every black-box repair this explainer runs executes its
+	// violation scans behind it — shared hash partitions,
 	// selectivity-ordered kernels behind pre-filter bitmaps, carried
-	// cardinality hints. Session.Explainer wires it from the engine's plan
-	// cache; nil runs the per-constraint reference path. Planning never
-	// changes results (the repair.PlannedRepairer contract).
-	Plan dc.SetPlanner
+	// cardinality hints. NewExplainer compiles it; Session.Explainer
+	// hands over the session's. Planning never changes results (the
+	// repair.PlannedRepairer contract).
+	plan dc.SetPlanner
 
 	// repairDescMemo caches repairDesc's rendering: the descriptor folds
 	// in every constraint's string form, which is too expensive to rebuild
@@ -66,7 +68,7 @@ type Explainer struct {
 	repairDescMemo string
 
 	// txn is the cache transaction of the public entry point currently
-	// running on this explainer (nil between calls, or without an engine).
+	// running on this explainer (nil between calls).
 	// Every store into the session's shared caches — coalition values,
 	// repair-target diffs — is staged here and only published when the
 	// entry point returns without error; cancellation, deadline expiry and
@@ -93,7 +95,7 @@ type Explainer struct {
 // (Target on the edit loop's screen refreshes) must not pay a closure
 // allocation or force the named error result to escape.
 func (e *Explainer) begin() bool {
-	if e.Engine == nil || e.entryOpen {
+	if e.entryOpen {
 		return false
 	}
 	e.entryOpen = true
@@ -131,7 +133,7 @@ func (e *Explainer) finishEntry(owned bool, errp *error) {
 // exactly as they would be inside the transaction.
 func (e *Explainer) liveTxn() *exec.Txn {
 	if e.entryOpen && e.txn == nil {
-		e.txn = e.Engine.Begin()
+		e.txn = e.engine.Begin()
 	}
 	return e.txn
 }
@@ -144,27 +146,21 @@ func (e *Explainer) bind(desc string) *exec.Binding {
 	if t := e.liveTxn(); t != nil {
 		return t.Bind(desc, e.Dirty.Generation)
 	}
-	return e.Engine.Bind(desc, e.Dirty.Generation)
+	return e.engine.Bind(desc, e.Dirty.Generation)
 }
 
-// pool returns the session worker pool (the nil serial pool without an
-// engine).
-func (e *Explainer) pool() *exec.Pool { return e.Engine.Pool() }
-
-// planner returns the compiled constraint-set plan, nil for unplanned
-// execution.
-func (e *Explainer) planner() dc.SetPlanner { return e.Plan }
+// pool returns the engine's worker pool.
+func (e *Explainer) pool() *exec.Pool { return e.engine.Pool() }
 
 // cachedGame wraps a deterministic game with the session's shared
-// coalition cache under the given game descriptor, falling back to a
-// private per-game cache when the explainer has no engine. desc must come
+// coalition cache under the given game descriptor. desc must come
 // from gameDesc so equal descriptors imply equal characteristic functions
 // at any fixed table generation.
 func (e *Explainer) cachedGame(desc string, g shapley.Game) shapley.Game {
 	if t := e.liveTxn(); t != nil {
 		return t.CachedGame(desc, e.Dirty.Generation, g)
 	}
-	return e.Engine.CachedGame(desc, e.Dirty.Generation, g)
+	return e.engine.CachedGame(desc, e.Dirty.Generation, g)
 }
 
 // gameDesc builds the shared-cache descriptor of a game: the kind-specific
@@ -252,100 +248,80 @@ func (e *Explainer) repairDesc() string {
 
 // cachedRepairDiffs returns the memoized representation-exact clean-table
 // diff (table.DiffExact) of the full repair at the dirty table's current
-// generation, when a session engine is wired and a previous Repair/Target
-// stored one.
+// generation, when a previous Repair/Target stored one.
 func (e *Explainer) cachedRepairDiffs() ([]table.CellDiff, bool) {
 	if e.txn != nil {
 		return e.txn.RepairLookup(e.repairDesc(), e.Dirty.Generation())
 	}
-	rc := e.Engine.RepairTargets()
-	if rc == nil {
-		return nil, false
-	}
-	return rc.Lookup(e.repairDesc(), e.Dirty.Generation())
+	return e.engine.RepairTargets().Lookup(e.repairDesc(), e.Dirty.Generation())
 }
 
-// NewExplainer validates the inputs and builds an Explainer.
+// NewExplainer validates the inputs and builds an Explainer wired like a
+// one-shot session: a fresh serial engine and the plan compiled for
+// (dirty's schema, dcs). Use Session.Explainer for a parallel engine or
+// caches that outlive the explainer.
 func NewExplainer(alg repair.Algorithm, dcs []*dc.Constraint, dirty *table.Table) (*Explainer, error) {
-	if alg == nil {
-		return nil, fmt.Errorf("core: nil repair algorithm")
-	}
-	if dirty == nil || dirty.NumRows() == 0 {
-		return nil, fmt.Errorf("core: empty dirty table")
-	}
-	if err := dc.ValidateSet(dcs, dirty.Schema()); err != nil {
+	if err := validateInputs(alg, dcs, dirty); err != nil {
 		return nil, err
 	}
-	return &Explainer{Alg: alg, DCs: dcs, Dirty: dirty}, nil
+	return &Explainer{Alg: alg, DCs: dcs, Dirty: dirty, engine: exec.NewEngine(1), plan: plan.Compile(dirty.Schema(), dcs)}, nil
+}
+
+// validateInputs checks the three inputs of an explainer or session.
+func validateInputs(alg repair.Algorithm, dcs []*dc.Constraint, dirty *table.Table) error {
+	if alg == nil {
+		return fmt.Errorf("core: nil repair algorithm")
+	}
+	if dirty == nil || dirty.NumRows() == 0 {
+		return fmt.Errorf("core: empty dirty table")
+	}
+	return dc.ValidateSet(dcs, dirty.Schema())
 }
 
 // Repair runs the black box on the full input and returns the clean table
-// together with the repaired cells (the "blue cells" of Figure 2b). With a
-// session engine and a PartitionedRepairer black box, disjoint-bucket
-// passes run on the engine pool — bit-identical to the serial repair by
-// the PartitionedRepairer contract.
+// together with the repaired cells (the "blue cells" of Figure 2b). The
+// black box runs through repair.Run, on the engine pool and behind the
+// plan — bit-identical to the serial unplanned repair by the
+// PlannedRepairer contract.
 //
-// With a session engine the result is materialized in the engine's
-// repair-target cache: a repeat call at the same table generation and
-// constraint set replays the stored diff onto a clone of the dirty table
-// instead of re-running the black box. The cache stores the
-// representation-exact diff (table.DiffExact), so the replayed clean
-// table reproduces the black box's output cell-for-cell — including
-// numeric-kind changes that SameContent unifies, which kind-sensitive
-// consumers (hash-join keys) would otherwise see differ between a hit and
-// a miss — and the returned "repaired cells" diff (its !SameContent
-// subset) is identical to the uncached table.Diff. SetCell invalidates by
-// generation, AddDC/RemoveDC by descriptor (Engine.InvalidateCache).
+// The result is materialized in the engine's repair-target cache: a
+// repeat call at the same table generation and constraint set replays the
+// stored diff onto a clone of the dirty table instead of re-running the
+// black box. The cache stores the representation-exact diff
+// (table.DiffExact), so the replayed clean table reproduces the black
+// box's output cell-for-cell — including numeric-kind changes that
+// SameContent unifies, which kind-sensitive consumers (hash-join keys)
+// would otherwise see differ between a hit and a miss — and the returned
+// "repaired cells" diff (its !SameContent subset) is identical to
+// table.Diff. SetCell invalidates by generation, AddDC/RemoveDC by
+// descriptor (Engine.InvalidateCache).
 func (e *Explainer) Repair(ctx context.Context) (_ *table.Table, _ []table.CellDiff, err error) {
 	defer e.finishEntry(e.begin(), &err)
-	rc := e.Engine.RepairTargets()
-	var desc string
-	var gen uint64
-	if rc != nil {
-		desc, gen = e.repairDesc(), e.Dirty.Generation()
-		if exact, ok := e.cachedRepairDiffs(); ok {
-			clean := e.Dirty.Clone()
-			for _, d := range exact {
-				clean.SetRef(d.Ref, d.Clean)
-			}
-			return clean, repairedSubset(exact), nil
+	desc, gen := e.repairDesc(), e.Dirty.Generation()
+	if exact, ok := e.cachedRepairDiffs(); ok {
+		clean := e.Dirty.Clone()
+		for _, d := range exact {
+			clean.SetRef(d.Ref, d.Clean)
 		}
+		return clean, repairedSubset(exact), nil
 	}
-	var clean *table.Table
-	if pl, ok := e.Alg.(repair.PlannedRepairer); ok && e.Plan != nil {
-		clean, err = pl.RepairIntoPlanned(ctx, e.DCs, e.Dirty, nil, e.Engine.Pool(), e.Plan)
-	} else if pr, ok := e.Alg.(repair.PartitionedRepairer); ok && e.Engine.Workers() > 1 {
-		clean, err = pr.RepairIntoParallel(ctx, e.DCs, e.Dirty, nil, e.Engine.Pool())
-	} else {
-		clean, err = e.Alg.Repair(ctx, e.DCs, e.Dirty)
-	}
+	clean, err := repair.Run(ctx, e.Alg, e.DCs, e.Dirty, e.pool(), e.plan)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: repairing: %w", err)
 	}
 	if clean.NumRows() != e.Dirty.NumRows() || clean.NumCols() != e.Dirty.NumCols() {
 		return nil, nil, fmt.Errorf("core: black box %s changed table shape", e.Alg.Name())
 	}
-	if rc != nil {
-		// One exact scan serves both outputs: the memoized diff and its
-		// !SameContent subset, which is exactly table.Diff's answer. The
-		// store is staged in the entry point's transaction when one is
-		// open, so an abort after this point unpublishes it.
-		exact, derr := table.DiffExact(e.Dirty, clean)
-		if derr != nil {
-			return nil, nil, derr
-		}
-		if t := e.liveTxn(); t != nil {
-			t.RepairStore(desc, gen, exact)
-		} else {
-			rc.Store(desc, gen, exact)
-		}
-		return clean, repairedSubset(exact), nil
+	// One exact scan serves both outputs: the memoized diff and its
+	// !SameContent subset, which is exactly table.Diff's answer. The store
+	// is staged in the entry point's transaction, so an abort after this
+	// point unpublishes it.
+	exact, err := table.DiffExact(e.Dirty, clean)
+	if err != nil {
+		return nil, nil, err
 	}
-	diffs, derr := table.Diff(e.Dirty, clean)
-	if derr != nil {
-		return nil, nil, derr
-	}
-	return clean, diffs, nil
+	e.liveTxn().RepairStore(desc, gen, exact)
+	return clean, repairedSubset(exact), nil
 }
 
 // repairedSubset filters a representation-exact diff down to the cells
@@ -415,7 +391,7 @@ func (g *ConstraintGame) Value(ctx context.Context, coalition []bool) (float64, 
 			subset = append(subset, g.exp.DCs[i])
 		}
 	}
-	return repair.CellRepairedPlanned(ctx, g.exp.Alg, subset, g.exp.Dirty, g.cell, g.target, g.exp.pool(), g.exp.planner())
+	return repair.CellRepaired(ctx, g.exp.Alg, subset, g.exp.Dirty, g.cell, g.target, g.exp.pool(), g.exp.plan)
 }
 
 // ReplacementPolicy selects what happens to cells outside a coalition in
@@ -467,8 +443,8 @@ type CellGame struct {
 	snapGen uint64
 	// syncMu serializes re-snapshotting.
 	syncMu sync.Mutex
-	// shared is the game's handle on the session's shared coalition cache
-	// (nil without an engine). Only the deterministic null policy consults
+	// shared is the game's handle on the engine's shared coalition cache
+	// (nil until bound). Only the deterministic null policy consults
 	// it: under ReplaceFromColumn a coalition's value is a random
 	// realization, which must never be memoized. Set by BindSharedCache
 	// after the player roster is final; RestrictPlayers clears it, because
@@ -688,7 +664,7 @@ func (g *CellGame) evalUncached(ctx context.Context, coalition []bool, rng *rand
 		sc.tbl.SetRef(g.players[k], v)
 		sc.touched = append(sc.touched, k)
 	}
-	out, err := repair.CellRepairedPlanned(ctx, g.exp.Alg, g.exp.DCs, sc.tbl, g.cell, g.target, g.exp.pool(), g.exp.planner())
+	out, err := repair.CellRepaired(ctx, g.exp.Alg, g.exp.DCs, sc.tbl, g.cell, g.target, g.exp.pool(), g.exp.plan)
 	g.restore(sc)
 	g.putScratch(sc)
 	return out, err
@@ -719,7 +695,7 @@ func (g *CellGame) evalClone(ctx context.Context, coalition []bool, rng *rand.Ra
 		}
 		masked.SetRef(g.players[k], v)
 	}
-	return repair.CellRepaired(ctx, g.exp.Alg, g.exp.DCs, masked, g.cell, g.target)
+	return repair.CellRepaired(ctx, g.exp.Alg, g.exp.DCs, masked, g.cell, g.target, nil, nil)
 }
 
 // CloneEval returns a view of the game that evaluates through the legacy
@@ -846,7 +822,7 @@ func (w *cellWalk) Value(ctx context.Context, rng *rand.Rand) (float64, error) {
 	if v, ok := w.g.shared.LookupAt(w.sc.gen, w.in); ok {
 		return v, nil
 	}
-	v, err := repair.CellRepairedPlanned(ctx, w.g.exp.Alg, w.g.exp.DCs, w.sc.tbl, w.g.cell, w.g.target, w.g.exp.pool(), w.g.exp.planner())
+	v, err := repair.CellRepaired(ctx, w.g.exp.Alg, w.g.exp.DCs, w.sc.tbl, w.g.cell, w.g.target, w.g.exp.pool(), w.g.exp.plan)
 	if err == nil {
 		w.g.shared.Store(w.sc.gen, w.in, v)
 	}

@@ -51,6 +51,48 @@ func TestExplainerRepairMatchesFigure2(t *testing.T) {
 	}
 }
 
+// TestExplainerRepairFuncMatchesUnwrapped: Algorithm1 wrapped in
+// repair.Func takes repair.Run's Algorithm-only branch (plain Repair, no
+// pool, no plan); the clean table and the repaired-cells diff must be
+// identical to the unwrapped box's planned run.
+func TestExplainerRepairFuncMatchesUnwrapped(t *testing.T) {
+	ctx := context.Background()
+	ll := data.NewLaLiga()
+	alg := repair.NewAlgorithm1()
+	wrapped := repair.Func{AlgName: alg.Name(), Fn: alg.Repair}
+	want, err := NewExplainer(alg, ll.DCs, ll.Dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewExplainer(wrapped, ll.DCs, ll.Dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClean, wantDiffs, err := want.Repair(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotClean, gotDiffs, err := got.Repair(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < wantClean.NumRows(); i++ {
+		for j := 0; j < wantClean.NumCols(); j++ {
+			if gotClean.Get(i, j) != wantClean.Get(i, j) {
+				t.Fatalf("cell (%d,%d): %v vs %v", i, j, gotClean.Get(i, j), wantClean.Get(i, j))
+			}
+		}
+	}
+	if len(gotDiffs) != len(wantDiffs) || len(wantDiffs) == 0 {
+		t.Fatalf("%d diffs vs %d", len(gotDiffs), len(wantDiffs))
+	}
+	for i := range wantDiffs {
+		if gotDiffs[i] != wantDiffs[i] {
+			t.Fatalf("diff %d: %v vs %v", i, gotDiffs[i], wantDiffs[i])
+		}
+	}
+}
+
 func TestTarget(t *testing.T) {
 	e, ll := newPaperExplainer(t)
 	target, repaired, err := e.Target(context.Background(), ll.CellOfInterest)

@@ -8,10 +8,22 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/dc"
+	"repro/internal/exec"
 	"repro/internal/repair"
 	"repro/internal/shapley"
 	"repro/internal/table"
 )
+
+// referenceExplainer is the uncached, unplanned reference of the
+// planned ≡ unplanned and cached ≡ uncached checks: a cold serial engine
+// that shares no cache with the explainer under test, and a nil plan, on
+// which RepairIntoPlanned runs the per-constraint path. A reference
+// memoizes what it computes, so build one per public call: a second call
+// on the same reference would replay its own caches.
+func referenceExplainer(alg repair.Algorithm, dcs []*dc.Constraint, dirty *table.Table) *Explainer {
+	return &Explainer{Alg: alg, DCs: dcs, Dirty: dirty, engine: exec.NewEngine(1)}
+}
 
 // sameReports compares two reports entry-for-entry, bit-identically.
 func sameReports(t *testing.T, label string, got, want *Report) {
@@ -79,7 +91,7 @@ func TestSharedCacheAcrossReportKinds(t *testing.T) {
 }
 
 // TestSharedCacheInvalidatedBySetCell: after an edit, an engine-backed
-// explanation must match a fresh engine-free explainer bit-for-bit — no
+// explanation must match a fresh referenceExplainer bit-for-bit — no
 // coalition value computed before the generation bump may survive it.
 func TestSharedCacheInvalidatedBySetCell(t *testing.T) {
 	ctx := context.Background()
@@ -100,7 +112,7 @@ func TestSharedCacheInvalidatedBySetCell(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, gotErr := sess.Explainer().ExplainConstraints(ctx, cell)
-		fresh := &Explainer{Alg: sess.alg, DCs: sess.dcs, Dirty: sess.dirty}
+		fresh := referenceExplainer(sess.alg, sess.dcs, sess.dirty)
 		want, wantErr := fresh.ExplainConstraints(ctx, cell)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("edit %d: error mismatch: %v vs %v", i, gotErr, wantErr)
@@ -115,7 +127,7 @@ func TestSharedCacheInvalidatedBySetCell(t *testing.T) {
 // TestSharedCacheHammer is the satellite's -race hammer: concurrent
 // engine-backed explains race a serialized editor (reader/writer
 // discipline, as the HTTP server enforces per session), and every explain
-// is cross-checked bit-for-bit against a fresh engine-free explainer under
+// is cross-checked bit-for-bit against a fresh referenceExplainer under
 // the same read lock. Any stale cached coalition value surviving a
 // generation bump, or any data race in the shared cache/pool, fails here.
 func TestSharedCacheHammer(t *testing.T) {
@@ -146,7 +158,7 @@ func TestSharedCacheHammer(t *testing.T) {
 				}
 				mu.RLock()
 				got, gotErr := sess.Explainer().ExplainConstraints(ctx, cell)
-				fresh := &Explainer{Alg: sess.alg, DCs: sess.dcs, Dirty: sess.dirty}
+				fresh := referenceExplainer(sess.alg, sess.dcs, sess.dirty)
 				want, wantErr := fresh.ExplainConstraints(ctx, cell)
 				mu.RUnlock()
 				if (gotErr == nil) != (wantErr == nil) {
@@ -267,7 +279,7 @@ func TestDeltaWalkMarginalEquivalence(t *testing.T) {
 // names, and Value.String collapsing kinds.
 func TestGameDescInjective(t *testing.T) {
 	ll := data.NewLaLiga()
-	exp := &Explainer{Alg: repair.NewAlgorithm1(), DCs: ll.DCs, Dirty: ll.Dirty}
+	exp := referenceExplainer(repair.NewAlgorithm1(), ll.DCs, ll.Dirty)
 	b := table.CellRef{Row: 0, Col: 1}
 	c := table.CellRef{Row: 0, Col: 2}
 	g1 := groupsDesc(ll.Dirty, []CellGroup{{Name: "x", Cells: []table.CellRef{b, c}}})
@@ -290,7 +302,7 @@ func TestGameDescInjective(t *testing.T) {
 
 // TestConstraintEditInvalidatesEngine: AddDC/RemoveDC re-key every game;
 // the engine must drop the orphaned coalition values (the leak fix) and
-// post-edit explains must match a fresh engine-free explainer.
+// post-edit explains must match a fresh referenceExplainer.
 func TestConstraintEditInvalidatesEngine(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -307,7 +319,7 @@ func TestConstraintEditInvalidatesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, gotErr := sess.Explainer().ExplainConstraints(ctx, cell)
-	fresh := &Explainer{Alg: sess.alg, DCs: sess.dcs, Dirty: sess.dirty}
+	fresh := referenceExplainer(sess.alg, sess.dcs, sess.dirty)
 	want, wantErr := fresh.ExplainConstraints(ctx, cell)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("error mismatch after RemoveDC: %v vs %v", gotErr, wantErr)
@@ -319,7 +331,7 @@ func TestConstraintEditInvalidatesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, gotErr = sess.Explainer().ExplainConstraints(ctx, cell)
-	fresh = &Explainer{Alg: sess.alg, DCs: sess.dcs, Dirty: sess.dirty}
+	fresh = referenceExplainer(sess.alg, sess.dcs, sess.dirty)
 	want, wantErr = fresh.ExplainConstraints(ctx, cell)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("error mismatch after AddDC: %v vs %v", gotErr, wantErr)

@@ -333,7 +333,7 @@ func (g *GroupGame) evalOn(ctx context.Context, sc *groupScratch, coalition []bo
 			sc.tbl.SetRef(ref, repl)
 		}
 	}
-	return repair.CellRepairedPlanned(ctx, g.exp.Alg, g.exp.DCs, sc.tbl, g.cell, g.target, g.exp.pool(), g.exp.planner())
+	return repair.CellRepaired(ctx, g.exp.Alg, g.exp.DCs, sc.tbl, g.cell, g.target, g.exp.pool(), g.exp.plan)
 }
 
 // evalClone is the clone-per-evaluation reference path, mirroring
@@ -358,7 +358,7 @@ func (g *GroupGame) evalClone(ctx context.Context, coalition []bool, rng *rand.R
 			masked.SetRef(ref, repl)
 		}
 	}
-	return repair.CellRepaired(ctx, g.exp.Alg, g.exp.DCs, masked, g.cell, g.target)
+	return repair.CellRepaired(ctx, g.exp.Alg, g.exp.DCs, masked, g.cell, g.target, nil, nil)
 }
 
 // CloneEval returns a view of the game that evaluates through the
@@ -510,7 +510,7 @@ func (w *groupWalk) Value(ctx context.Context, rng *rand.Rand) (float64, error) 
 	if v, ok := w.g.shared.LookupAt(w.sc.gen, w.in); ok {
 		return v, nil
 	}
-	v, err := repair.CellRepairedPlanned(ctx, w.g.exp.Alg, w.g.exp.DCs, w.sc.tbl, w.g.cell, w.g.target, w.g.exp.pool(), w.g.exp.planner())
+	v, err := repair.CellRepaired(ctx, w.g.exp.Alg, w.g.exp.DCs, w.sc.tbl, w.g.cell, w.g.target, w.g.exp.pool(), w.g.exp.plan)
 	if err == nil {
 		w.g.shared.Store(w.sc.gen, w.in, v)
 	}

@@ -27,7 +27,7 @@ func sameDiffs(t *testing.T, label string, got, want []table.CellDiff) {
 // TestRepairTargetCacheGolden is the repair-target materialization's
 // bit-identity contract: repeat Repair and Target calls on a session
 // explainer replay the memoized diff, and every replayed answer matches
-// the engine-free reference exactly.
+// the referenceExplainer exactly.
 func TestRepairTargetCacheGolden(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -37,11 +37,7 @@ func TestRepairTargetCacheGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewExplainer(alg, ll.DCs, sess.Dirty())
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantClean, wantDiffs, err := ref.Repair(ctx)
+			wantClean, wantDiffs, err := referenceExplainer(alg, ll.DCs, sess.Dirty()).Repair(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,8 +58,10 @@ func TestRepairTargetCacheGolden(t *testing.T) {
 			}
 
 			// Target for every cell, repaired or not, answered off the diff.
+			// Each reference answer comes from a fresh reference, so it runs
+			// the black box instead of replaying a memoized diff.
 			for _, cell := range sess.Dirty().Cells() {
-				wantTarget, wantRepaired, err := ref.Target(ctx, cell)
+				wantTarget, wantRepaired, err := referenceExplainer(alg, ll.DCs, sess.Dirty()).Target(ctx, cell)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +138,7 @@ func TestRepairTargetCacheRepresentationExact(t *testing.T) {
 // TestRepairTargetCacheInvalidation: a SetCell bumps the generation (the
 // cached diff must not be replayed against the edited table), and
 // AddDC/RemoveDC re-key the descriptor; in both cases the next answer must
-// match a fresh engine-free run.
+// match a fresh referenceExplainer run.
 func TestRepairTargetCacheInvalidation(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -159,10 +157,7 @@ func TestRepairTargetCacheInvalidation(t *testing.T) {
 	if err := sess.SetCell(table.CellRef{Row: cell.Row, Col: league}, table.String("Premier League")); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewExplainer(alg, sess.DCs(), sess.Dirty())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := referenceExplainer(alg, sess.DCs(), sess.Dirty())
 	wantTarget, wantRepaired, err := ref.Target(ctx, cell)
 	if err != nil {
 		t.Fatal(err)
@@ -181,10 +176,7 @@ func TestRepairTargetCacheInvalidation(t *testing.T) {
 	if err := sess.RemoveDC(removed); err != nil {
 		t.Fatal(err)
 	}
-	ref2, err := NewExplainer(alg, sess.DCs(), sess.Dirty())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref2 := referenceExplainer(alg, sess.DCs(), sess.Dirty())
 	_, wantDiffs, err := ref2.Repair(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +190,7 @@ func TestRepairTargetCacheInvalidation(t *testing.T) {
 
 // TestCacheAwareSamplingGolden is tentpole (c)'s bit-identity contract:
 // null-policy sampled explanations (SampleAll, TopK, group sampling) with
-// the session's shared coalition cache produce exactly the engine-free
+// the session's shared coalition cache produce exactly the referenceExplainer
 // estimates — warm or cold, Workers=1 or Workers=N.
 func TestCacheAwareSamplingGolden(t *testing.T) {
 	ctx := context.Background()
@@ -207,10 +199,7 @@ func TestCacheAwareSamplingGolden(t *testing.T) {
 	cell := ll.CellOfInterest
 	opts := CellExplainOptions{Samples: 48, Seed: 11, RestrictToRelevant: true}
 
-	bare, err := NewExplainer(alg, ll.DCs, ll.Dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := referenceExplainer(alg, ll.DCs, ll.Dirty)
 	want, err := bare.ExplainCells(ctx, cell, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -253,16 +242,15 @@ func TestCacheAwareSamplingTopKAndGroupsGolden(t *testing.T) {
 	cell := ll.CellOfInterest
 	opts := CellExplainOptions{Samples: 64, Seed: 5, RestrictToRelevant: true}
 
-	bare, err := NewExplainer(alg, ll.DCs, ll.Dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Every reference call gets a fresh reference, so no reference answer
+	// reuses coalition values or a Target another reference call stored.
+	fresh := func() *Explainer { return referenceExplainer(alg, ll.DCs, ll.Dirty) }
 	sess, err := NewSession(alg, ll.DCs, ll.Dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	wantTop, wantSep, err := bare.ExplainCellsTopK(ctx, cell, 3, opts)
+	wantTop, wantSep, err := fresh().ExplainCellsTopK(ctx, cell, 3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +264,8 @@ func TestCacheAwareSamplingTopKAndGroupsGolden(t *testing.T) {
 	sameReports(t, "cached TopK", gotTop, wantTop)
 
 	groupOpts := CellExplainOptions{Samples: 32, Seed: 3}
-	groups := bare.RowGroups(cell)
-	wantG, err := bare.ExplainCellGroupsSampled(ctx, cell, groups, groupOpts)
+	groups := fresh().RowGroups(cell)
+	wantG, err := fresh().ExplainCellGroupsSampled(ctx, cell, groups, groupOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,9 +277,9 @@ func TestCacheAwareSamplingTopKAndGroupsGolden(t *testing.T) {
 
 	// The exact group path shares the same descriptor space: running it
 	// after the sampled path must reuse coalition values (strictly more
-	// hits), and stay bit-identical to the engine-free exact report.
+	// hits), and stay bit-identical to the reference exact report.
 	hitsBefore, _ := sess.Engine().CacheStats()
-	wantExact, err := bare.ExplainCellGroups(ctx, cell, groups[:6])
+	wantExact, err := fresh().ExplainCellGroups(ctx, cell, groups[:6])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +294,7 @@ func TestCacheAwareSamplingTopKAndGroupsGolden(t *testing.T) {
 }
 
 // TestCacheAwareSamplingEditInvalidation: estimates after a session edit
-// must match a fresh engine-free explainer on the edited table — no stale
+// must match a fresh referenceExplainer on the edited table — no stale
 // coalition value may survive the generation bump into the sampled paths.
 func TestCacheAwareSamplingEditInvalidation(t *testing.T) {
 	ctx := context.Background()
@@ -328,10 +316,7 @@ func TestCacheAwareSamplingEditInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := NewExplainer(alg, sess.DCs(), sess.Dirty())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := referenceExplainer(alg, sess.DCs(), sess.Dirty())
 	want, err := ref.ExplainCells(ctx, cell, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -381,10 +366,7 @@ func TestSampledExactCellRosterSharing(t *testing.T) {
 		t.Fatalf("exact enumeration after sampling must reuse the roster's coalition values (hits %d -> %d)", hits1, hits2)
 	}
 
-	bare, err := NewExplainer(alg, cs, tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := referenceExplainer(alg, cs, tbl)
 	want, err := bare.ExplainCellsExact(ctx, cell, true)
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +408,7 @@ func TestSampledWorkerDeterminismWithSharedCache(t *testing.T) {
 
 // TestCacheAwareSamplingStochasticUnbound: ReplaceFromColumn games must
 // not enroll in the shared cache (their values are random realizations),
-// and their estimates must stay bit-identical to the engine-free run.
+// and their estimates must stay bit-identical to the referenceExplainer run.
 func TestCacheAwareSamplingStochasticUnbound(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -434,10 +416,7 @@ func TestCacheAwareSamplingStochasticUnbound(t *testing.T) {
 	cell := ll.CellOfInterest
 	opts := CellExplainOptions{Samples: 24, Seed: 9, Policy: ReplaceFromColumn, RestrictToRelevant: true}
 
-	bare, err := NewExplainer(alg, ll.DCs, ll.Dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := referenceExplainer(alg, ll.DCs, ll.Dirty)
 	want, err := bare.ExplainCells(ctx, cell, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -170,16 +170,13 @@ func TestAbortDuringTargetResolution(t *testing.T) {
 		}
 	}
 
-	// Golden rerun against an engine-free explainer (the canonical result).
+	// Golden rerun against referenceExplainer (the canonical result).
 	got, err := sess.Explainer().ExplainConstraints(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ll := data.NewLaLiga()
-	exp, err := NewExplainer(repair.NewAlgorithm1(), ll.DCs, ll.Dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := referenceExplainer(repair.NewAlgorithm1(), ll.DCs, ll.Dirty)
 	want, err := exp.ExplainConstraints(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)

@@ -36,9 +36,9 @@ type Session struct {
 	repairDesc string
 	// plan is the compiled constraint-set query plan of the current
 	// (schema, DC set) — shared partitions, selectivity-ordered kernels,
-	// pre-filter pushdown, cardinality hints — fetched through the
-	// engine's plan cache and recompiled on constraint edits. Every
-	// violation scan and planned repair of the session runs behind it.
+	// pre-filter pushdown, cardinality hints — compiled at construction
+	// and on every constraint edit. Every violation scan and repair of the
+	// session runs behind it.
 	plan *plan.Plan
 }
 
@@ -47,7 +47,7 @@ type SessionOptions struct {
 	// Workers is the engine's parallelism budget — the worker pool repair
 	// black boxes fan disjoint-bucket passes across, and the default
 	// sampling fan-out of the session's explainers. 0 means GOMAXPROCS.
-	// Parallelism never changes results (see the PartitionedRepairer and
+	// Parallelism never changes results (see the PlannedRepairer and
 	// fan-out determinism contracts); 1 forces fully serial execution.
 	Workers int
 }
@@ -60,7 +60,7 @@ func NewSession(alg repair.Algorithm, dcs []*dc.Constraint, dirty *table.Table) 
 
 // NewSessionWith is NewSession with explicit engine options.
 func NewSessionWith(alg repair.Algorithm, dcs []*dc.Constraint, dirty *table.Table, opts SessionOptions) (*Session, error) {
-	if _, err := NewExplainer(alg, dcs, dirty); err != nil {
+	if err := validateInputs(alg, dcs, dirty); err != nil {
 		return nil, err
 	}
 	s := &Session{
@@ -80,29 +80,10 @@ func (s *Session) refreshRepairDesc() {
 	s.repairDesc = (&Explainer{Alg: s.alg, DCs: s.dcs}).gameDesc("repair")
 }
 
-// refreshPlan recompiles (or re-fetches from the engine's plan cache)
-// the constraint-set query plan for the session's current schema and DC
-// set; call after any constraint-set change, after the stale plan is
-// dropped through Engine.InvalidateCache.
+// refreshPlan compiles the constraint-set query plan for the session's
+// current schema and DC set; call after any constraint-set change.
 func (s *Session) refreshPlan() {
-	s.plan = planFor(s.engine, s.dirty.Schema(), s.dcs)
-}
-
-// planFor returns the compiled plan for (schema, cs), memoized in the
-// engine's plan cache under (schema identity, DC-set fingerprint). With
-// a nil engine the plan is compiled fresh each call — still correct,
-// just unmemoized.
-func planFor(e *exec.Engine, schema *table.Schema, cs []*dc.Constraint) *plan.Plan {
-	pc := e.Plans()
-	key := exec.PlanKey{Schema: schema, Fingerprint: plan.Fingerprint(cs)}
-	if cached, ok := pc.Lookup(key); ok {
-		if p, ok := cached.(*plan.Plan); ok {
-			return p
-		}
-	}
-	p := plan.Compile(schema, cs)
-	pc.Store(key, p)
-	return p
+	s.plan = plan.Compile(s.dirty.Schema(), s.dcs)
 }
 
 // Engine exposes the session's execution engine (cache statistics for the
@@ -112,13 +93,10 @@ func (s *Session) Engine() *exec.Engine { return s.engine }
 // Explainer returns an Explainer over the session's current state, wired
 // to the session engine: its games share the session's coalition cache —
 // keyed by game identity and invalidated by the dirty table's generation,
-// which every SetCell bumps — and its repairs run on the session pool.
+// which every SetCell bumps — and its repairs run on the session pool
+// behind the session plan.
 func (s *Session) Explainer() *Explainer {
-	e := &Explainer{Alg: s.alg, DCs: s.dcs, Dirty: s.dirty, Engine: s.engine, repairDescMemo: s.repairDesc}
-	if s.plan != nil {
-		e.Plan = s.plan
-	}
-	return e
+	return &Explainer{Alg: s.alg, DCs: s.dcs, Dirty: s.dirty, engine: s.engine, plan: s.plan, repairDescMemo: s.repairDesc}
 }
 
 // Dirty returns the session's current dirty table (live; edits via SetCell).
@@ -324,11 +302,7 @@ func (s *Session) Violations() ([]dc.Violation, error) {
 	if s.live == nil {
 		s.live = dc.NewLiveViolationSet()
 	}
-	if s.plan != nil {
-		s.live.UsePlan(s.plan)
-	} else {
-		s.live.UsePlan(nil)
-	}
+	s.live.UsePlan(s.plan)
 	var out []dc.Violation
 	for _, c := range s.dcs {
 		var err error

@@ -5,50 +5,56 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/dc"
+	"repro/internal/dc/plan"
 	"repro/internal/repair"
 )
 
-// TestSessionPlanLifecycle pins the plan-cache wiring: a session compiles
-// one plan at construction, memoizes it in the engine's plan cache, and
-// recompiles (through InvalidateCache, which drops the cache wholesale)
-// on every constraint edit — so the session's compiled plan can never go
-// stale against its DC set.
+// TestSessionPlanLifecycle pins the session's plan ownership: a session
+// compiles its plan at construction and installs a newly compiled plan on
+// every constraint edit, so the plan can never go stale against its DC
+// set. Every Explainer carries the current plan, and Violations derives
+// its lists behind it: a derivation records the constraint's violation
+// cardinality in the plan it ran on, and the first Violations call (after
+// RemoveDC) derives every list, the one after AddDC the added
+// constraint's.
 func TestSessionPlanLifecycle(t *testing.T) {
 	s := newSession(t)
-	if s.plan == nil {
-		t.Fatal("session has no compiled plan after construction")
+	if s.plan == nil || s.Explainer().plan != dc.SetPlanner(s.plan) {
+		t.Fatal("session has no compiled plan wired after construction")
 	}
-	if s.Explainer().Plan == nil {
-		t.Fatal("Explainer not wired to the session plan")
-	}
-	if got := s.Engine().Plans().Len(); got != 1 {
-		t.Fatalf("plan cache holds %d entries after construction, want 1", got)
+	check := func(label string, old *plan.Plan) {
+		t.Helper()
+		if s.plan == old {
+			t.Fatalf("%s left the compiled plan stale", label)
+		}
+		if s.Explainer().plan != dc.SetPlanner(s.plan) {
+			t.Fatalf("%s: Explainer not wired to the session plan", label)
+		}
+		if _, err := s.Violations(); err != nil {
+			t.Fatal(err)
+		}
+		last := s.dcs[len(s.dcs)-1]
+		if _, ok := s.plan.ViolationHint(last); !ok {
+			t.Fatalf("%s: Violations did not derive %s behind the session plan", label, last.ID)
+		}
 	}
 	old := s.plan
-	// Re-deriving an explainer must reuse the memoized plan, not recompile.
-	s.refreshPlan()
-	if s.plan != old {
-		t.Fatal("refreshPlan with unchanged DC set did not hit the plan cache")
-	}
 	if err := s.RemoveDC("C3"); err != nil {
 		t.Fatal(err)
 	}
-	if s.plan == old {
-		t.Fatal("RemoveDC left the compiled plan stale")
+	check("RemoveDC", old)
+	old = s.plan
+	if err := s.AddDC("C5: !(t1.Team = t2.Team & t1.City != t2.City)"); err != nil {
+		t.Fatal(err)
 	}
-	if old.FingerprintValue() == s.plan.FingerprintValue() {
-		t.Fatal("constraint edit did not change the plan fingerprint")
-	}
-	// InvalidateCache cleared the old entry; exactly the new plan remains.
-	if got := s.Engine().Plans().Len(); got != 1 {
-		t.Fatalf("plan cache holds %d entries after RemoveDC, want 1", got)
-	}
+	check("AddDC", old)
 }
 
 // TestSessionPlannedMatchesUnplanned pins the session surface to the
 // unplanned reference: violations and repair through a planned session
-// are bit-identical to a bare (engineless, planless) explainer over the
-// same inputs.
+// are bit-identical to a cold-engine, planless explainer over the same
+// inputs.
 func TestSessionPlannedMatchesUnplanned(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -57,10 +63,7 @@ func TestSessionPlannedMatchesUnplanned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewExplainer(repair.NewAlgorithm1(), ll.DCs, ll.Dirty)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := referenceExplainer(repair.NewAlgorithm1(), ll.DCs, ll.Dirty)
 		wantClean, wantDiffs, err := ref.Repair(ctx)
 		if err != nil {
 			t.Fatal(err)

@@ -186,7 +186,7 @@ func TestScanIndexTableSwitch(t *testing.T) {
 	assertSameViolations(t, "after CopyFrom", cs, b, ix)
 }
 
-// TestScanIndexCopyFromDelta drives the exact ScratchRepairer workload:
+// TestScanIndexCopyFromDelta drives the exact PlannedRepairer workload:
 // refresh a work table from alternating sources via CopyFrom, scan, mutate,
 // scan — the index must stay correct throughout while never being handed
 // an explicit invalidation.

@@ -50,7 +50,7 @@ type LiveViolationSet struct {
 	// Pool, when set, supplies the goroutines of a full derivation's
 	// disjoint-bucket fan-out instead of ad-hoc spawning — the session
 	// engine's bounded worker pool, plugged in per run by the repair black
-	// boxes (repair.PartitionedRepairer). Its budget caps the fan-out.
+	// boxes (repair.PlannedRepairer). Its budget caps the fan-out.
 	Pool Runner
 
 	// Pooled scratch for delta application. rows is the bound table's row
@@ -213,7 +213,7 @@ func (s *LiveViolationSet) violatingSlots(c *Constraint, t *table.Table) (*bucke
 // of each group's first violating row — exactly the visit order of
 // ForEachViolatingGroup. It is the bucket-partition
 // exposure the parallel repair path consumes: groups are disjoint row
-// sets, so a PartitionedRepairer can compute per-group fixes concurrently
+// sets, so a PlannedRepairer can compute per-group fixes concurrently
 // and apply them serially in this order, bit-identical to the serial pass.
 //
 // ok is false — with dst returned unchanged — when the constraint has no

@@ -142,7 +142,7 @@ func TestLiveViolationSetOverrunAndStructure(t *testing.T) {
 }
 
 // TestLiveViolationSetTableSwitch re-points one pooled set across work
-// tables and through a shape-changing CopyFrom, the ScratchRepairer
+// tables and through a shape-changing CopyFrom, the PlannedRepairer
 // workload.
 func TestLiveViolationSetTableSwitch(t *testing.T) {
 	a := deltaTable(t, 10, 27)

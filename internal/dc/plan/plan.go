@@ -41,7 +41,6 @@
 package plan
 
 import (
-	"hash/fnv"
 	"slices"
 	"sync"
 
@@ -53,7 +52,6 @@ import (
 // choices plus cardinality feedback carried across generations.
 type Plan struct {
 	schema  *table.Schema
-	fp      uint64
 	choices map[*dc.Constraint]dc.PlanChoice
 
 	// mu guards the hint maps only; choices are immutable after Compile.
@@ -76,7 +74,6 @@ const maxHintEntries = 1024
 func Compile(schema *table.Schema, cs []*dc.Constraint) *Plan {
 	p := &Plan{
 		schema:  schema,
-		fp:      Fingerprint(cs),
 		choices: make(map[*dc.Constraint]dc.PlanChoice, len(cs)),
 		parts:   make(map[string]int),
 		viols:   make(map[*dc.Constraint]int),
@@ -281,35 +278,8 @@ func singleSide(p dc.Predicate) (int, bool) {
 	return side, true
 }
 
-// Fingerprint hashes a constraint set's rendered form (FNV-1a over the
-// count and each constraint's String) — the DC-set half of the plan
-// cache key. Constraint order matters: the same constraints reordered
-// are a different workload declaration and simply recompile.
-func Fingerprint(cs []*dc.Constraint) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeLen := func(n int) {
-		v := uint64(n)
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	writeLen(len(cs))
-	for _, c := range cs {
-		s := c.String()
-		writeLen(len(s))
-		h.Write([]byte(s))
-	}
-	return h.Sum64()
-}
-
 // PlanSchema implements dc.SetPlanner.
 func (p *Plan) PlanSchema() *table.Schema { return p.schema }
-
-// FingerprintValue returns the DC-set fingerprint the plan was compiled
-// for.
-func (p *Plan) FingerprintValue() uint64 { return p.fp }
 
 // ConstraintPlan implements dc.SetPlanner.
 func (p *Plan) ConstraintPlan(c *dc.Constraint) (dc.PlanChoice, bool) {

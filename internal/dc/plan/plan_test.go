@@ -143,24 +143,6 @@ func TestCompileUnresolvedConstraint(t *testing.T) {
 	}
 }
 
-func TestFingerprint(t *testing.T) {
-	a := dc.MustParse("C1: !(t1.A = t2.A & t1.B != t2.B)")
-	b := dc.MustParse("C2: !(t1.A = t2.A & t1.C != t2.C)")
-	fp := Fingerprint([]*dc.Constraint{a, b})
-	if fp != Fingerprint([]*dc.Constraint{a, b}) {
-		t.Error("fingerprint is not deterministic")
-	}
-	if fp == Fingerprint([]*dc.Constraint{b, a}) {
-		t.Error("reordering did not change the fingerprint")
-	}
-	if fp == Fingerprint([]*dc.Constraint{a}) {
-		t.Error("dropping a constraint did not change the fingerprint")
-	}
-	if Fingerprint(nil) == Fingerprint([]*dc.Constraint{a}) {
-		t.Error("empty set collides with a singleton")
-	}
-}
-
 func TestHints(t *testing.T) {
 	p := Compile(soccerSchema(t), nil)
 	if _, ok := p.PartitionHint("sig"); ok {

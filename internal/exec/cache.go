@@ -432,11 +432,8 @@ type Binding struct {
 }
 
 // Bind interns desc (see GameID for the descriptor contract) and returns
-// the game's cache binding; nil on a nil engine.
+// the game's cache binding.
 func (e *Engine) Bind(desc string, gen func() uint64) *Binding {
-	if e == nil {
-		return nil
-	}
 	return &Binding{cache: e.cache, id: e.GameID(desc), gen: gen}
 }
 

@@ -4,7 +4,7 @@
 //
 //   - Pool: a bounded worker pool. Repair black boxes use it to fan
 //     disjoint-bucket passes (full violation derivations, FD-chase group
-//     fixes) across cores via repair.PartitionedRepairer; the budget is
+//     fixes) across cores via repair.PlannedRepairer; the budget is
 //     global to the session, so nested parallelism — sampler workers each
 //     running a parallel repair — cannot oversubscribe the machine.
 //   - CoalitionCache: one generation-keyed coalition-value cache shared by
@@ -38,14 +38,11 @@ import (
 )
 
 // Engine is one session's execution context. Safe for concurrent use; the
-// zero value is not usable — construct with NewEngine. A nil *Engine is a
-// valid "no engine" value: Pool returns nil (serial) and CachedGame falls
-// back to a private per-game cache.
+// zero value is not usable — construct with NewEngine.
 type Engine struct {
 	pool    *Pool
 	cache   *CoalitionCache
 	repairs *RepairCache
-	plans   *PlanCache
 
 	mu     sync.Mutex
 	ids    map[string]uint64
@@ -58,48 +55,21 @@ func NewEngine(workers int) *Engine {
 		pool:    NewPool(workers),
 		cache:   NewCoalitionCache(),
 		repairs: NewRepairCache(),
-		plans:   NewPlanCache(),
 		ids:     make(map[string]uint64),
 	}
 }
 
-// Pool returns the engine's worker pool; nil (the serial pool) on a nil
-// engine.
-func (e *Engine) Pool() *Pool {
-	if e == nil {
-		return nil
-	}
-	return e.pool
-}
+// Pool returns the engine's worker pool.
+func (e *Engine) Pool() *Pool { return e.pool }
 
-// Workers returns the pool's worker budget; 1 on a nil engine.
-func (e *Engine) Workers() int { return e.Pool().Workers() }
+// Workers returns the pool's worker budget.
+func (e *Engine) Workers() int { return e.pool.Workers() }
 
-// Cache returns the engine's shared coalition cache; nil on a nil engine.
-func (e *Engine) Cache() *CoalitionCache {
-	if e == nil {
-		return nil
-	}
-	return e.cache
-}
+// Cache returns the engine's shared coalition cache.
+func (e *Engine) Cache() *CoalitionCache { return e.cache }
 
-// RepairTargets returns the engine's repair-target cache; nil on a nil
-// engine (a nil *RepairCache is a valid always-miss cache).
-func (e *Engine) RepairTargets() *RepairCache {
-	if e == nil {
-		return nil
-	}
-	return e.repairs
-}
-
-// Plans returns the engine's compiled-plan cache; nil on a nil engine
-// (a nil *PlanCache is a valid always-miss cache).
-func (e *Engine) Plans() *PlanCache {
-	if e == nil {
-		return nil
-	}
-	return e.plans
-}
+// RepairTargets returns the engine's repair-target cache.
+func (e *Engine) RepairTargets() *RepairCache { return e.repairs }
 
 // GameID interns a stable identifier for a game descriptor. Descriptors
 // must identify the game's characteristic function up to the table
@@ -132,44 +102,28 @@ func (e *Engine) GameID(desc string) uint64 {
 }
 
 // InvalidateCache drops every memoized coalition value, every memoized
-// repair diff, every compiled constraint-set plan, and the game-ID
-// interning table. core.Session calls it on
+// repair diff, and the game-ID interning table. core.Session calls it on
 // constraint edits: AddDC and RemoveDC change every game and repair
 // descriptor without touching the table generation, so the previous
 // descriptors' entries would otherwise accumulate unreachably for the
-// session's lifetime. No-op on a nil engine.
+// session's lifetime.
 func (e *Engine) InvalidateCache() {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	clear(e.ids)
 	e.mu.Unlock()
 	e.cache.Clear()
 	e.repairs.Clear()
-	e.plans.Clear()
 }
 
 // CachedGame wraps g with the engine's shared coalition cache under the
 // descriptor's interned game ID; gen supplies the current table generation
-// (normally table.Generation of the session's dirty table). On a nil
-// engine it degrades to a private shapley.Cached, preserving the memoized
-// semantics without sharing.
+// (normally table.Generation of the session's dirty table).
 func (e *Engine) CachedGame(desc string, gen func() uint64, g shapley.Game) shapley.Game {
-	if e == nil {
-		return shapley.NewCached(g)
-	}
 	return &CachedGame{b: e.Bind(desc, gen), g: g}
 }
 
-// CacheStats reports the shared cache's cumulative hits and misses; zero
-// on a nil engine.
-func (e *Engine) CacheStats() (hits, misses uint64) {
-	if e == nil {
-		return 0, 0
-	}
-	return e.cache.Stats()
-}
+// CacheStats reports the shared cache's cumulative hits and misses.
+func (e *Engine) CacheStats() (hits, misses uint64) { return e.cache.Stats() }
 
 // HitRate returns hits/(hits+misses) of the shared cache, 0 before any
 // lookup.

@@ -137,8 +137,6 @@ func TestCoalitionCacheClearAndInvalidate(t *testing.T) {
 	if b := e.GameID("d"); b == a {
 		t.Fatal("interning table must reset with the cache")
 	}
-	var nilEngine *Engine
-	nilEngine.InvalidateCache() // must not panic
 }
 
 func TestCoalitionCacheWideKeys(t *testing.T) {
@@ -209,20 +207,6 @@ func TestCachedGameSharesAcrossGames(t *testing.T) {
 	}
 	if e.HitRate() <= 0 {
 		t.Error("hit rate must be positive")
-	}
-}
-
-func TestNilEngineFallsBack(t *testing.T) {
-	var e *Engine
-	if e.Pool() != nil || e.Workers() != 1 {
-		t.Error("nil engine must expose the serial pool")
-	}
-	g := e.CachedGame("x", func() uint64 { return 0 }, shapley.GameFunc{N: 2, Fn: func(context.Context, []bool) (float64, error) { return 1, nil }})
-	if v, err := g.Value(context.Background(), []bool{true, false}); err != nil || v != 1 {
-		t.Fatalf("fallback cached game broken: %v %v", v, err)
-	}
-	if hits, misses := e.CacheStats(); hits != 0 || misses != 0 {
-		t.Error("nil engine stats must be zero")
 	}
 }
 

@@ -93,7 +93,7 @@ func (p *PanicError) Unwrap() error {
 //
 // Map imposes no ordering: callers needing deterministic output either
 // write to task-indexed slots (compute phase) or apply results serially
-// afterwards — the pattern repair.PartitionedRepairer golden-tests.
+// afterwards — the pattern repair.PlannedRepairer golden-tests.
 func (p *Pool) Map(tasks int, fn func(task int)) {
 	if tasks <= 0 {
 		return

@@ -76,19 +76,12 @@ type txnRepairEntry struct {
 	diffs []table.CellDiff
 }
 
-// Begin opens a cache transaction on the engine; nil on a nil engine
-// (callers then run with direct, unstaged access — there are no shared
-// caches to poison).
-func (e *Engine) Begin() *Txn {
-	if e == nil {
-		return nil
-	}
-	return &Txn{e: e}
-}
+// Begin opens a cache transaction on the engine.
+func (e *Engine) Begin() *Txn { return &Txn{e: e} }
 
 // Bind is Engine.Bind routed through the transaction: the returned
 // binding's stores stage into the txn and its lookups see staged values
-// first. On a nil txn it is exactly Engine.Bind on a nil engine (no cache).
+// first. A nil txn binds nil, the valid "no shared cache" binding.
 func (t *Txn) Bind(desc string, gen func() uint64) *Binding {
 	if t == nil {
 		return nil
@@ -99,7 +92,7 @@ func (t *Txn) Bind(desc string, gen func() uint64) *Binding {
 }
 
 // CachedGame is Engine.CachedGame with the binding routed through the
-// transaction.
+// transaction; a nil txn wraps g in a private shapley.Cached.
 func (t *Txn) CachedGame(desc string, gen func() uint64, g shapley.Game) shapley.Game {
 	if t == nil {
 		return shapley.NewCached(g)

@@ -158,13 +158,9 @@ func TestTxnCachedGame(t *testing.T) {
 	}
 }
 
-// TestTxnNilSafety: the nil txn (no engine) behaves as "no transaction".
+// TestTxnNilSafety: the nil txn behaves as "no transaction".
 func TestTxnNilSafety(t *testing.T) {
-	var e *Engine
-	txn := e.Begin()
-	if txn != nil {
-		t.Fatal("nil engine must begin a nil txn")
-	}
+	var txn *Txn
 	txn.Commit()
 	txn.Abort()
 	if b := txn.Bind("x", func() uint64 { return 0 }); b != nil {

@@ -33,9 +33,9 @@ import (
 // Session constraint-set mutations carry a second obligation: the
 // session's compiled constraint-set plan is keyed on the DC set, so the
 // mutation must also be post-dominated by a call into the plan refresh
-// surface — Session.refreshPlan or PlanCache.Clear. Engine.InvalidateCache
-// deliberately does not satisfy this barrier: it drops the engine's plan
-// cache entries but leaves the session's compiled plan pointer stale.
+// surface, Session.refreshPlan. Engine.InvalidateCache deliberately does
+// not satisfy this barrier: it drops the engine's caches but leaves the
+// session's compiled plan pointer stale.
 var CacheInval = &analysis.Analyzer{
 	Name: "cacheinval",
 	Doc:  "reports table-storage and DC-set mutations not post-dominated by cache invalidation and plan refresh",
@@ -129,7 +129,7 @@ func checkCacheInval(pass *analysis.Pass, g *dataflow.Graph, decl *ast.FuncDecl)
 			}
 			if sessionCfg[n] && !deferredPlan && !graph.EveryPathHits(b, i, planBarrier) {
 				pass.Reportf(n.Pos(),
-					"%s is mutated but not every path to return recompiles the constraint-set plan afterwards; call Session.refreshPlan or PlanCache.Clear on every path (or //lint:allow cacheinval <reason>)",
+					"%s is mutated but not every path to return recompiles the constraint-set plan afterwards; call Session.refreshPlan on every path (or //lint:allow cacheinval <reason>)",
 					descs[n])
 			}
 		}
@@ -238,7 +238,7 @@ func isInvalidationFunc(fn *types.Func) bool {
 }
 
 // nodeRefreshesPlan is nodeInvalidates for the plan refresh surface:
-// a direct call to Session.refreshPlan / PlanCache.Clear, or a call to a
+// a direct call to Session.refreshPlan, or a call to a
 // same-package function that transitively refreshes.
 func nodeRefreshesPlan(pass *analysis.Pass, g *dataflow.Graph, n ast.Node) bool {
 	if r, ok := n.(*ast.RangeStmt); ok {
@@ -264,18 +264,10 @@ func nodeRefreshesPlan(pass *analysis.Pass, g *dataflow.Graph, n ast.Node) bool 
 
 // isPlanRefreshFunc mirrors the dataflow package's plan refresh surface
 // for direct (possibly cross-package) callees. Engine.InvalidateCache is
-// deliberately absent: it drops the engine's plan cache but leaves the
+// deliberately absent: it drops the engine's caches but leaves the
 // session's compiled plan pointer stale.
 func isPlanRefreshFunc(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	switch fn.Name() {
-	case "refreshPlan":
-		return isNamedType(sig.Recv().Type(), "internal/core", "Session")
-	case "Clear":
-		return isNamedType(sig.Recv().Type(), "internal/exec", "PlanCache")
-	}
-	return false
+	return ok && sig.Recv() != nil && fn.Name() == "refreshPlan" &&
+		isNamedType(sig.Recv().Type(), "internal/core", "Session")
 }

@@ -69,7 +69,7 @@ type Summary struct {
 	// Invalidates reports a direct call into the invalidation surface.
 	Invalidates bool
 	// RefreshesPlan reports a direct call into the constraint-set plan
-	// refresh surface (Session.refreshPlan / PlanCache.Clear).
+	// refresh surface (Session.refreshPlan).
 	RefreshesPlan bool
 	// PollsCtx reports that the body consults a context.Context — calls
 	// Err/Done/Deadline/Value on one, or passes one onward to a callee.
@@ -480,12 +480,11 @@ func isInvalidationEntry(fn *types.Func) bool {
 	return false
 }
 
-// isPlanRefreshEntry reports whether fn is part of the constraint-set
-// plan refresh surface: the session-level recompilation or the engine
-// plan cache's wholesale drop. Deliberately narrower than the cache
-// invalidation surface — Engine.InvalidateCache clears the *cache* but
-// leaves a session's compiled plan pointer stale, so only an explicit
-// refresh counts.
+// isPlanRefreshEntry reports whether fn is the constraint-set plan
+// refresh surface: the session-level recompilation. Deliberately narrower
+// than the cache invalidation surface — Engine.InvalidateCache clears the
+// caches but leaves a session's compiled plan pointer stale, so only an
+// explicit refresh counts.
 func isPlanRefreshEntry(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -495,14 +494,8 @@ func isPlanRefreshEntry(fn *types.Func) bool {
 	if recv == nil || recv.Obj().Pkg() == nil {
 		return false
 	}
-	path, owner := recv.Obj().Pkg().Path(), recv.Obj().Name()
-	switch fn.Name() {
-	case "refreshPlan":
-		return owner == "Session" && pathHasSuffix(path, "internal/core")
-	case "Clear":
-		return owner == "PlanCache" && pathHasSuffix(path, "internal/exec")
-	}
-	return false
+	return fn.Name() == "refreshPlan" && recv.Obj().Name() == "Session" &&
+		pathHasSuffix(recv.Obj().Pkg().Path(), "internal/core")
 }
 
 // namedOf strips pointers and aliases down to the named type, nil when

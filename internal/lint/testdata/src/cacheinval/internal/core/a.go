@@ -2,9 +2,8 @@
 // path ends in internal/core, so its Session repair configuration
 // (dcs / alg) is guarded, with the cross-package Engine.InvalidateCache
 // barrier from the real exec package. Constraint-set mutations owe a
-// second barrier — the plan refresh surface (Session.refreshPlan /
-// PlanCache.Clear) — which Engine.InvalidateCache deliberately does not
-// satisfy.
+// second barrier — the plan refresh surface (Session.refreshPlan) —
+// which Engine.InvalidateCache deliberately does not satisfy.
 package core
 
 import "repro/internal/exec"
@@ -14,12 +13,13 @@ type Session struct {
 	dcs    []string
 	alg    string
 	engine *exec.Engine
+	plan   []string
 }
 
 // refreshPlan recompiles the session's constraint-set plan; it is the
-// session-level half of the plan refresh surface.
+// plan refresh surface.
 func (s *Session) refreshPlan() {
-	s.engine.Plans().Clear()
+	s.plan = append(s.plan[:0], s.dcs...)
 }
 
 // SwapDCsGood replaces the constraint set, drops the caches keyed on the
@@ -55,12 +55,13 @@ func (s *Session) SwapDCsPlanOnly(dcs []string) {
 	s.refreshPlan()
 }
 
-// SwapDCsCacheClear satisfies the plan obligation through the exec-side
-// half of the surface (PlanCache.Clear) plus the cache barrier.
+// SwapDCsCacheClear clears an exec cache by hand on top of the cache
+// barrier: no exec Clear recompiles the plan, so the plan obligation
+// still stands.
 func (s *Session) SwapDCsCacheClear(dcs []string) {
-	s.dcs = dcs
+	s.dcs = dcs // want "the session repair configuration .s.dcs. is mutated but not every path to return recompiles the constraint-set plan"
 	s.engine.InvalidateCache()
-	s.engine.Plans().Clear()
+	s.engine.Cache().Clear()
 }
 
 // SwapDCsBranchy recompiles on only one branch: the fall-through return

@@ -64,7 +64,7 @@ type RuleRepair struct {
 	// MaxPasses bounds fixpoint iteration; 0 means the default (10).
 	MaxPasses int
 	// runs pools the per-run scratch state (statistics, scan index,
-	// violation and row buffers) behind the ScratchRepairer contract.
+	// violation and row buffers) behind the PlannedRepairer contract.
 	runs sync.Pool
 }
 
@@ -164,16 +164,14 @@ func (a *RuleRepair) Repair(ctx context.Context, cs []*dc.Constraint, dirty *tab
 	return a.RepairInto(ctx, cs, dirty, nil)
 }
 
-// RepairInto implements ScratchRepairer: Repair writing into the
+// RepairInto implements PlannedRepairer: Repair writing into the
 // caller-owned work table, with every per-run buffer pooled so steady-state
 // invocations allocate nothing.
-//
-//lint:hotpath
 func (a *RuleRepair) RepairInto(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table) (*table.Table, error) {
 	return a.repairInto(ctx, cs, dirty, work, nil, nil)
 }
 
-// RepairIntoParallel implements PartitionedRepairer: the rule cascade
+// RepairIntoParallel implements PlannedRepairer: the rule cascade
 // itself is inherently sequential (each fix feeds the next rule's
 // statistics), but the per-rule "what is violated now?" full derivations
 // fan their disjoint buckets across the session pool on large tables —
@@ -186,6 +184,8 @@ func (a *RuleRepair) RepairIntoParallel(ctx context.Context, cs []*dc.Constraint
 // set executes behind the session's compiled constraint-set plan —
 // shared partitions, ordered kernels, pre-filter bitmaps — output
 // bit-identical to RepairInto by the plan contract.
+//
+//lint:hotpath
 func (a *RuleRepair) RepairIntoPlanned(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool, plan dc.SetPlanner) (*table.Table, error) {
 	return a.repairInto(ctx, cs, dirty, work, pool, plan)
 }

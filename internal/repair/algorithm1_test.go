@@ -58,14 +58,14 @@ func TestAlgorithm1Example22(t *testing.T) {
 	target := ll.Clean.GetRef(cell) // "Madrid"
 	ctx := context.Background()
 
-	with, err := CellRepaired(ctx, alg, dc.Without(ll.DCs, "C4"), ll.Dirty, cell, target)
+	with, err := CellRepaired(ctx, alg, dc.Without(ll.DCs, "C4"), ll.Dirty, cell, target, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if with != 1 {
 		t.Errorf("Alg|t5[City]({C1,C2,C3}) = %v, want 1", with)
 	}
-	without, err := CellRepaired(ctx, alg, dc.Without(dc.Without(ll.DCs, "C4"), "C1"), ll.Dirty, cell, target)
+	without, err := CellRepaired(ctx, alg, dc.Without(dc.Without(ll.DCs, "C4"), "C1"), ll.Dirty, cell, target, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func repairsCountry(t *testing.T, ids ...string) bool {
 		}
 		subset = append(subset, c)
 	}
-	got, err := CellRepaired(context.Background(), NewAlgorithm1(), subset, ll.Dirty, ll.CellOfInterest, table.String("Spain"))
+	got, err := CellRepaired(context.Background(), NewAlgorithm1(), subset, ll.Dirty, ll.CellOfInterest, table.String("Spain"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestDeriveRulesFixesPaperTable(t *testing.T) {
 	// C3's conditions Country on League — different fixes, same outcome).
 	ll := data.NewLaLiga()
 	alg := NewRuleRepair(ll.DCs)
-	got, err := CellRepaired(context.Background(), alg, ll.DCs, ll.Dirty, ll.CellOfInterest, table.String("Spain"))
+	got, err := CellRepaired(context.Background(), alg, ll.DCs, ll.Dirty, ll.CellOfInterest, table.String("Spain"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestFuncAdapter(t *testing.T) {
 		t.Error("Name")
 	}
 	ll := data.NewLaLiga()
-	if _, err := CellRepaired(context.Background(), f, ll.DCs, ll.Dirty, ll.CellOfInterest, table.String("Spain")); !errors.Is(err, wantErr) {
+	if _, err := CellRepaired(context.Background(), f, ll.DCs, ll.Dirty, ll.CellOfInterest, table.String("Spain"), nil, nil); !errors.Is(err, wantErr) {
 		t.Errorf("error not propagated: %v", err)
 	}
 }
@@ -257,7 +257,7 @@ func TestCellRepairedShapeCheck(t *testing.T) {
 	bad := Func{AlgName: "shape-changer", Fn: func(_ context.Context, _ []*dc.Constraint, d *table.Table) (*table.Table, error) {
 		return table.New(d.Schema()), nil // drops all rows
 	}}
-	if _, err := CellRepaired(context.Background(), bad, ll.DCs, ll.Dirty, ll.CellOfInterest, table.String("Spain")); err == nil {
+	if _, err := CellRepaired(context.Background(), bad, ll.DCs, ll.Dirty, ll.CellOfInterest, table.String("Spain"), nil, nil); err == nil {
 		t.Error("shape change must be rejected")
 	}
 }

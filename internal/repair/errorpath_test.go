@@ -57,7 +57,7 @@ func errorPathFixtures() []errorPathFixture {
 	}
 }
 
-// TestParallelRepairErrorGoldenEquivalence extends the PartitionedRepairer
+// TestParallelRepairErrorGoldenEquivalence extends the PlannedRepairer
 // bit-identity contract to the *error* channel: for every black box,
 // fixture and worker count, RepairIntoParallel must return exactly the
 // error RepairInto returns (same message; nil iff nil) — and when both
@@ -66,9 +66,9 @@ func TestParallelRepairErrorGoldenEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, fx := range errorPathFixtures() {
 		for _, alg := range All(1) {
-			pr, ok := alg.(PartitionedRepairer)
+			pr, ok := alg.(PlannedRepairer)
 			if !ok {
-				t.Fatalf("%s does not implement PartitionedRepairer", alg.Name())
+				t.Fatalf("%s does not implement PlannedRepairer", alg.Name())
 			}
 			want, wantErr := pr.RepairInto(ctx, fx.dcs, fx.tbl, nil)
 			for _, workers := range []int{1, 2, 8} {
@@ -96,7 +96,7 @@ func TestParallelRepairContextCancellation(t *testing.T) {
 	cancel()
 	fx := errorPathFixtures()[0]
 	for _, alg := range All(1) {
-		pr := alg.(PartitionedRepairer)
+		pr := alg.(PlannedRepairer)
 		_, serialErr := pr.RepairInto(ctx, fx.dcs, fx.tbl, nil)
 		if !errors.Is(serialErr, context.Canceled) {
 			t.Fatalf("%s: serial error = %v, want context.Canceled", alg.Name(), serialErr)
@@ -120,9 +120,9 @@ func TestCellRepairedWithErrorGolden(t *testing.T) {
 	fx := errorPathFixtures()[1] // unknown attribute: deterministic error
 	cell := table.CellRef{Row: 1, Col: 1}
 	for _, alg := range All(1) {
-		_, serialErr := CellRepaired(ctx, alg, fx.dcs, fx.tbl, cell, table.String("1"))
+		_, serialErr := CellRepaired(ctx, alg, fx.dcs, fx.tbl, cell, table.String("1"), nil, nil)
 		for _, workers := range []int{1, 4} {
-			_, parErr := CellRepairedWith(ctx, alg, fx.dcs, fx.tbl, cell, table.String("1"), exec.NewPool(workers))
+			_, parErr := CellRepaired(ctx, alg, fx.dcs, fx.tbl, cell, table.String("1"), exec.NewPool(workers), nil)
 			if errString(parErr) != errString(serialErr) {
 				t.Fatalf("%s/w=%d: error %q vs serial %q", alg.Name(), workers, errString(parErr), errString(serialErr))
 			}

@@ -23,7 +23,7 @@ import (
 type FDChase struct {
 	// MaxPasses bounds fixpoint iteration; 0 means the default (10).
 	MaxPasses int
-	// runs pools the per-run scratch state behind the ScratchRepairer
+	// runs pools the per-run scratch state behind the PlannedRepairer
 	// contract.
 	runs sync.Pool
 }
@@ -115,20 +115,18 @@ func (f *FDChase) Repair(ctx context.Context, cs []*dc.Constraint, dirty *table.
 	return f.RepairInto(ctx, cs, dirty, nil)
 }
 
-// RepairInto implements ScratchRepairer: Repair writing into the
+// RepairInto implements PlannedRepairer: Repair writing into the
 // caller-owned work table. The left-hand-side grouping reuses the live
 // set's incrementally-maintained hash-join partition, and each pass
 // visits only groups currently containing a violating pair, in
 // first-violating-row order. Visit order does not affect the result:
 // groups are disjoint and each chase writes only its own group's
 // right-hand sides, so the fixpoint is deterministic.
-//
-//lint:hotpath
 func (f *FDChase) RepairInto(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table) (*table.Table, error) {
 	return f.repairInto(ctx, cs, dirty, work, nil, nil)
 }
 
-// RepairIntoParallel implements PartitionedRepairer. The chase decomposes
+// RepairIntoParallel implements PlannedRepairer. The chase decomposes
 // over the live set's bucket partition: within one FD pass every violating
 // group reads and writes only its own rows, so the per-group majorities
 // are computed concurrently on the session pool and the fixes applied
@@ -145,6 +143,8 @@ func (f *FDChase) RepairIntoParallel(ctx context.Context, cs []*dc.Constraint, d
 // equivalence classes; a shared coarser partition would merge them), so
 // the chase's fixes are untouched by partition sharing — output
 // bit-identical to RepairInto by the plan contract.
+//
+//lint:hotpath
 func (f *FDChase) RepairIntoPlanned(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool, plan dc.SetPlanner) (*table.Table, error) {
 	return f.repairInto(ctx, cs, dirty, work, pool, plan)
 }

@@ -19,7 +19,7 @@ import (
 type Greedy struct {
 	// MaxSteps bounds the number of cell reassignments; 0 means rows×cols.
 	MaxSteps int
-	// runs pools the per-run scratch state behind the ScratchRepairer
+	// runs pools the per-run scratch state behind the PlannedRepairer
 	// contract.
 	runs sync.Pool
 }
@@ -46,15 +46,13 @@ func (g *Greedy) Repair(ctx context.Context, cs []*dc.Constraint, dirty *table.T
 	return g.RepairInto(ctx, cs, dirty, nil)
 }
 
-// RepairInto implements ScratchRepairer: Repair writing into the
+// RepairInto implements PlannedRepairer: Repair writing into the
 // caller-owned work table with pooled per-run buffers.
-//
-//lint:hotpath
 func (g *Greedy) RepairInto(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table) (*table.Table, error) {
 	return g.repairInto(ctx, cs, dirty, work, nil, nil)
 }
 
-// RepairIntoParallel implements PartitionedRepairer: the greedy commit
+// RepairIntoParallel implements PlannedRepairer: the greedy commit
 // loop is sequential by design (each reassignment changes the hypergraph
 // the next pick reads), but the hypergraph's full violation derivations
 // fan their disjoint buckets across the session pool on large tables —
@@ -67,6 +65,8 @@ func (g *Greedy) RepairIntoParallel(ctx context.Context, cs []*dc.Constraint, di
 // set (and the point probes of the candidate search, which share its
 // index) executes behind the session's compiled constraint-set plan —
 // output bit-identical to RepairInto by the plan contract.
+//
+//lint:hotpath
 func (g *Greedy) RepairIntoPlanned(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool, plan dc.SetPlanner) (*table.Table, error) {
 	return g.repairInto(ctx, cs, dirty, work, pool, plan)
 }

@@ -49,7 +49,7 @@ type HoloSim struct {
 	// between equal-scored candidates.
 	seed int64
 	// runs pools the per-run scratch state (rng, statistics, scan index,
-	// suspect and candidate buffers) behind the ScratchRepairer contract.
+	// suspect and candidate buffers) behind the PlannedRepairer contract.
 	runs sync.Pool
 }
 
@@ -105,15 +105,13 @@ func (h *HoloSim) Repair(ctx context.Context, cs []*dc.Constraint, dirty *table.
 	return h.RepairInto(ctx, cs, dirty, nil)
 }
 
-// RepairInto implements ScratchRepairer: Repair writing into the
+// RepairInto implements PlannedRepairer: Repair writing into the
 // caller-owned work table with pooled per-run buffers.
-//
-//lint:hotpath
 func (h *HoloSim) RepairInto(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table) (*table.Table, error) {
 	return h.repairInto(ctx, cs, dirty, work, nil, nil)
 }
 
-// RepairIntoParallel implements PartitionedRepairer: inference commits are
+// RepairIntoParallel implements PlannedRepairer: inference commits are
 // sequential (each repair feeds the next round's detection), but the
 // detect stage's full violation derivations fan their disjoint buckets
 // across the session pool on large tables — output bit-identical to
@@ -125,6 +123,8 @@ func (h *HoloSim) RepairIntoParallel(ctx context.Context, cs []*dc.Constraint, d
 // RepairIntoPlanned implements PlannedRepairer: the run's live violation
 // set executes behind the session's compiled constraint-set plan —
 // output bit-identical to RepairInto by the plan contract.
+//
+//lint:hotpath
 func (h *HoloSim) RepairIntoPlanned(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool, plan dc.SetPlanner) (*table.Table, error) {
 	return h.repairInto(ctx, cs, dirty, work, pool, plan)
 }

@@ -27,7 +27,7 @@ func assertTablesIdentical(t *testing.T, label string, got, want *table.Table) {
 	}
 }
 
-// TestParallelRepairGoldenEquivalence is the PartitionedRepairer contract:
+// TestParallelRepairGoldenEquivalence is the PlannedRepairer contract:
 // for every black box, fixture and worker count, RepairIntoParallel
 // produces exactly the table the serial RepairInto (itself golden-tested
 // against Repair) produces — the serial path stays the cross-validation
@@ -36,9 +36,9 @@ func TestParallelRepairGoldenEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, fx := range scratchFixtures(t) {
 		for _, alg := range scratchAlgorithms(fx.dcs) {
-			pr, ok := alg.(PartitionedRepairer)
+			pr, ok := alg.(PlannedRepairer)
 			if !ok {
-				t.Fatalf("%s does not implement PartitionedRepairer", alg.Name())
+				t.Fatalf("%s does not implement PlannedRepairer", alg.Name())
 			}
 			want, err := pr.RepairInto(ctx, fx.dcs, fx.dirty, nil)
 			if err != nil {
@@ -120,11 +120,11 @@ func TestCellRepairedWithPoolMatchesSerial(t *testing.T) {
 			if ref != cell {
 				masked.SetRef(ref, table.Null())
 			}
-			want, err := CellRepaired(ctx, alg, ll.DCs, masked, cell, target)
+			want, err := CellRepaired(ctx, alg, ll.DCs, masked, cell, target, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := CellRepairedWith(ctx, alg, ll.DCs, masked, cell, target, pool)
+			got, err := CellRepaired(ctx, alg, ll.DCs, masked, cell, target, pool, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,10 +62,12 @@ func TestPlannedRepairGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestCellRepairedPlannedMatchesSerial: the binary view behind a plan must
-// agree with the serial CellRepaired for every black box, across masked
-// coalition variants — masking changes the table but not the schema, so
-// the session plan stays applicable, exactly as in the Shapley loops.
+// TestCellRepairedPlannedMatchesSerial: the binary view on a worker pool,
+// behind a plan, or both must agree with the serial unplanned
+// CellRepaired for every black box, across masked coalition variants —
+// masking changes the table but not the schema, so the session plan stays
+// applicable, exactly as in the Shapley loops. The same box wrapped in
+// Func takes Run's Algorithm-only branch and must agree as well.
 func TestCellRepairedPlannedMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	ll := data.NewLaLiga()
@@ -73,6 +75,17 @@ func TestCellRepairedPlannedMatchesSerial(t *testing.T) {
 	pool := exec.NewPool(4)
 	p := plan.Compile(ll.Dirty.Schema(), ll.DCs)
 	for _, alg := range All(1) {
+		inputs := []struct {
+			name string
+			alg  Algorithm
+			pool *exec.Pool
+			plan dc.SetPlanner
+		}{
+			{"pooled", alg, pool, nil},
+			{"planned", alg, nil, p},
+			{"pooled+planned", alg, pool, p},
+			{"func", Func{AlgName: alg.Name(), Fn: alg.Repair}, pool, p},
+		}
 		clean, err := alg.Repair(ctx, ll.DCs, ll.Dirty)
 		if err != nil {
 			t.Fatal(err)
@@ -84,16 +97,18 @@ func TestCellRepairedPlannedMatchesSerial(t *testing.T) {
 			if ref != cell {
 				masked.SetRef(ref, table.Null())
 			}
-			want, err := CellRepaired(ctx, alg, ll.DCs, masked, cell, target)
+			want, err := CellRepaired(ctx, alg, ll.DCs, masked, cell, target, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := CellRepairedPlanned(ctx, alg, ll.DCs, masked, cell, target, pool, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("%s: step %d: planned %v vs serial %v", alg.Name(), n, got, want)
+			for _, in := range inputs {
+				got, err := CellRepaired(ctx, in.alg, ll.DCs, masked, cell, target, in.pool, in.plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s/%s: step %d: %v vs serial %v", alg.Name(), in.name, n, got, want)
+				}
 			}
 		}
 	}

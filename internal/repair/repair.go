@@ -17,12 +17,15 @@
 //
 // # The in-place repair protocol
 //
-// All four production black boxes additionally implement ScratchRepairer,
-// the zero-allocation contract the Shapley evaluation loop runs against:
-// RepairInto refreshes a caller-owned work table from the dirty input and
-// repairs it in place, while every per-run buffer the algorithm needs
-// (statistics, scan indexes, candidate domains, violation lists) is pooled
-// inside the implementation. The rules of the contract:
+// All four production black boxes additionally implement PlannedRepairer,
+// the zero-allocation contract the Shapley evaluation loop runs against;
+// Run is the one dispatch that picks it over plain Repair. RepairInto
+// refreshes a caller-owned work table from the dirty input and repairs it
+// in place, while every per-run buffer the algorithm needs (statistics,
+// scan indexes, candidate domains, violation lists) is pooled inside the
+// implementation; RepairIntoParallel and RepairIntoPlanned run the same
+// repair on a worker pool and behind a compiled constraint-set plan. The
+// rules of the contract:
 //
 //   - dirty is never mutated; only work is. work == nil allocates a fresh
 //     clone, so Repair(ctx, cs, dirty) ≡ RepairInto(ctx, cs, dirty, nil)
@@ -78,56 +81,38 @@ type Algorithm interface {
 	Repair(ctx context.Context, cs []*dc.Constraint, dirty *table.Table) (*table.Table, error)
 }
 
-// ScratchRepairer is the in-place extension of Algorithm: RepairInto
-// copies dirty into work (allocating only when work is nil or its shape
-// cannot be reused), repairs work in place, and returns it. See the package
-// comment for the full contract. CellRepaired detects this interface and
-// recycles one pooled work table across evaluations, which removes the
-// per-evaluation Clone() from the repair hot path.
-type ScratchRepairer interface {
+// PlannedRepairer is the in-place, parallel and planned extension of
+// Algorithm. See the package comment for the in-place contract.
+//
+// Parallelism: the black box accepts a session worker pool and fans its
+// disjoint-bucket passes across it — full violation derivations run
+// bucket-parallel through the live set, and black boxes whose repair step
+// itself decomposes over disjoint join groups (the FD chase) compute
+// per-group fixes concurrently and apply them serially in the serial
+// pass's order. A nil or one-worker pool is the serial path.
+//
+// Planning: the black box accepts the session's compiled set plan
+// (dc.SetPlanner) and installs it on its pooled live violation set, so
+// every violation scan of the run shares partitions across constraints,
+// evaluates selectivity-ordered kernels behind pre-filter bitmaps, and
+// pre-sizes its hash maps from carried cardinalities. A nil plan is the
+// per-constraint path.
+//
+// The contract is strict bit-identity: for any (cs, dirty, pool, plan),
+// RepairIntoPlanned produces exactly the table RepairInto produces — the
+// unplanned serial path stays the golden cross-validation reference (see
+// TestParallelRepairGoldenEquivalence). Parallelism and planning are
+// scheduling choices, never semantic ones, because Shapley values are
+// defined over a deterministic function of the input. All four production
+// black boxes implement it.
+type PlannedRepairer interface {
 	Algorithm
 	// RepairInto is Repair writing into caller-owned scratch storage. The
 	// returned table is work when work != nil, a fresh table otherwise.
 	RepairInto(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table) (*table.Table, error)
-}
-
-// PartitionedRepairer is the parallel extension of ScratchRepairer: the
-// black box accepts a session worker pool and fans its disjoint-bucket
-// passes across it — full violation derivations run bucket-parallel
-// through the live set, and black boxes whose repair step itself
-// decomposes over disjoint join groups (the FD chase) compute per-group
-// fixes concurrently and apply them serially in the serial pass's order.
-//
-// The contract is strict bit-identity: for any (cs, dirty, pool),
-// RepairIntoParallel produces exactly the table RepairInto produces — the
-// serial path stays the golden cross-validation reference (see
-// TestParallelRepairGoldenEquivalence). Parallelism is a scheduling
-// choice, never a semantic one, because Shapley values are defined over a
-// deterministic function of the input.
-//
-// All four production black boxes implement it. A nil pool (or a
-// one-worker pool) degrades to the serial path.
-type PartitionedRepairer interface {
-	ScratchRepairer
 	// RepairIntoParallel is RepairInto with disjoint-bucket passes fanned
 	// across pool.
 	RepairIntoParallel(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool) (*table.Table, error)
-}
-
-// PlannedRepairer is the constraint-set-plan extension of
-// PartitionedRepairer: the black box accepts the session's compiled set
-// plan (dc.SetPlanner) and installs it on its pooled live violation set,
-// so every violation scan of the run shares partitions across
-// constraints, evaluates selectivity-ordered kernels behind pre-filter
-// bitmaps, and pre-sizes its hash maps from carried cardinalities.
-//
-// Like parallelism, planning is a scheduling choice, never a semantic
-// one: for any (cs, dirty, pool, plan), RepairIntoPlanned produces
-// exactly the table RepairInto produces — the unplanned serial path
-// stays the golden cross-validation reference. A nil plan is exactly
-// RepairIntoParallel. All four production black boxes implement it.
-type PlannedRepairer interface {
-	PartitionedRepairer
 	// RepairIntoPlanned is RepairIntoParallel executing behind the
 	// compiled constraint-set plan.
 	RepairIntoPlanned(ctx context.Context, cs []*dc.Constraint, dirty, work *table.Table, pool *exec.Pool, plan dc.SetPlanner) (*table.Table, error)
@@ -154,7 +139,7 @@ func (p *pooledStats) fresh(work *table.Table) *table.Stats {
 
 // prepareWork refreshes work from dirty for an in-place repair run,
 // handling the nil (allocate) and aliased (defensive clone) cases shared by
-// every ScratchRepairer implementation.
+// every PlannedRepairer implementation.
 func prepareWork(dirty, work *table.Table) *table.Table {
 	if work == nil || work == dirty {
 		return dirty.Clone()
@@ -195,65 +180,65 @@ func (Passthrough) Repair(_ context.Context, _ []*dc.Constraint, dirty *table.Ta
 	return dirty, nil
 }
 
-// workPool recycles the work tables CellRepaired hands to ScratchRepairer
+// workPool recycles the work tables CellRepaired hands to PlannedRepairer
 // black boxes. Tables of any shape share the pool: RepairInto's refresh
 // resizes a mismatched table in place, so a mixed workload merely warms the
 // pool toward the shapes it actually evaluates.
 var workPool sync.Pool
 
-// CellRepaired is the binary view Alg|t[A] of the paper (§2.1): it runs the
-// black box on (cs, dirty) and reports 1 when the cell of interest ends up
-// with the target clean value, 0 otherwise. The target is the value the
-// full repair assigned, so "repaired" means "repaired to the same value as
-// under the complete input".
-//
-// When the black box implements ScratchRepairer the repair runs in a
-// pooled work table instead of a fresh clone, making the whole
-// evaluation→repair round trip allocation-free in steady state — the hot
-// path of every Shapley sampling loop.
-func CellRepaired(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, cell table.CellRef, target table.Value) (float64, error) {
-	return CellRepairedWith(ctx, alg, cs, dirty, cell, target, nil)
+// Run is the one repair dispatch: a PlannedRepairer runs RepairIntoPlanned
+// on a fresh clone of dirty, on pool and behind plan; any other Algorithm
+// runs Repair. A nil plan and a nil or one-worker pool need no branch of
+// their own: the PlannedRepairer contract makes them RepairIntoParallel
+// and RepairInto.
+func Run(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, pool *exec.Pool, plan dc.SetPlanner) (*table.Table, error) {
+	clean, _, err := run(ctx, alg, cs, dirty, pool, plan, false)
+	return clean, err
 }
 
-// CellRepairedWith is CellRepaired with a session worker pool: black boxes
-// implementing PartitionedRepairer run their disjoint-bucket passes on it
-// (bit-identical to the serial path by contract). A nil or one-worker pool
-// is exactly CellRepaired.
-func CellRepairedWith(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, cell table.CellRef, target table.Value, pool *exec.Pool) (float64, error) {
-	return CellRepairedPlanned(ctx, alg, cs, dirty, cell, target, pool, nil)
-}
-
-// CellRepairedPlanned is CellRepairedWith with a compiled constraint-set
-// plan: black boxes implementing PlannedRepairer run their violation
-// scans behind it (bit-identical to the unplanned path by contract). A
-// nil plan is exactly CellRepairedWith.
-func CellRepairedPlanned(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, cell table.CellRef, target table.Value, pool *exec.Pool, plan dc.SetPlanner) (float64, error) {
-	sr, ok := alg.(ScratchRepairer)
+// run is Run, repairing into a table borrowed from workPool when borrow
+// is set. pooled reports that clean is such a table, to be handed back
+// with workPool.Put. An Algorithm that is not a PlannedRepairer borrows
+// nothing: its Repair may return a table the caller does not own
+// (Passthrough returns dirty itself), which must never enter the pool.
+func run(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, pool *exec.Pool, plan dc.SetPlanner, borrow bool) (clean *table.Table, pooled bool, err error) {
+	pr, ok := alg.(PlannedRepairer)
 	if !ok {
-		clean, err := alg.Repair(ctx, cs, dirty)
-		if err != nil {
-			return 0, fmt.Errorf("repair: black box %s: %w", alg.Name(), err)
-		}
-		return cellRepairedResult(alg, dirty, clean, cell, target)
+		clean, err = alg.Repair(ctx, cs, dirty)
+		return clean, false, err
 	}
-	work, _ := workPool.Get().(*table.Table)
-	var clean *table.Table
-	var err error
-	if pl, isPl := alg.(PlannedRepairer); isPl && plan != nil {
-		clean, err = pl.RepairIntoPlanned(ctx, cs, dirty, work, pool, plan)
-	} else if pr, isPar := alg.(PartitionedRepairer); isPar && pool.Workers() > 1 {
-		clean, err = pr.RepairIntoParallel(ctx, cs, dirty, work, pool)
-	} else {
-		clean, err = sr.RepairInto(ctx, cs, dirty, work)
+	var work *table.Table
+	if borrow {
+		work, _ = workPool.Get().(*table.Table)
 	}
+	clean, err = pr.RepairIntoPlanned(ctx, cs, dirty, work, pool, plan)
 	if err != nil {
 		if work != nil {
 			workPool.Put(work)
 		}
+		return nil, false, err
+	}
+	return clean, borrow, nil
+}
+
+// CellRepaired is the binary view Alg|t[A] of the paper (§2.1): it runs the
+// black box on (cs, dirty) through Run and reports 1 when the cell of
+// interest ends up with the target clean value, 0 otherwise. The target is
+// the value the full repair assigned, so "repaired" means "repaired to the
+// same value as under the complete input".
+//
+// A PlannedRepairer repairs into a pooled work table instead of a fresh
+// clone, making the whole evaluation→repair round trip allocation-free in
+// steady state — the hot path of every Shapley sampling loop.
+func CellRepaired(ctx context.Context, alg Algorithm, cs []*dc.Constraint, dirty *table.Table, cell table.CellRef, target table.Value, pool *exec.Pool, plan dc.SetPlanner) (float64, error) {
+	clean, pooled, err := run(ctx, alg, cs, dirty, pool, plan, true)
+	if err != nil {
 		return 0, fmt.Errorf("repair: black box %s: %w", alg.Name(), err)
 	}
 	out, err := cellRepairedResult(alg, dirty, clean, cell, target)
-	workPool.Put(clean)
+	if pooled {
+		workPool.Put(clean)
+	}
 	return out, err
 }
 

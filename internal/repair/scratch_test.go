@@ -35,7 +35,7 @@ func scratchFixtures(t *testing.T) []scratchFixture {
 	}
 }
 
-// scratchAlgorithms returns every production ScratchRepairer plus a
+// scratchAlgorithms returns every production PlannedRepairer plus a
 // derived-rule RuleRepair, so the suite covers both rule flavours.
 func scratchAlgorithms(dcs []*dc.Constraint) []Algorithm {
 	return append(All(1), NewRuleRepair(dcs))
@@ -49,9 +49,9 @@ func TestRepairIntoGoldenEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, fx := range scratchFixtures(t) {
 		for _, alg := range scratchAlgorithms(fx.dcs) {
-			sr, ok := alg.(ScratchRepairer)
+			sr, ok := alg.(PlannedRepairer)
 			if !ok {
-				t.Fatalf("%s does not implement ScratchRepairer", alg.Name())
+				t.Fatalf("%s does not implement PlannedRepairer", alg.Name())
 			}
 			snapshot := fx.dirty.Clone()
 			want, err := alg.Repair(ctx, fx.dcs, fx.dirty)
@@ -102,7 +102,7 @@ func TestRepairIntoGoldenEquivalence(t *testing.T) {
 // TestRepairIntoGoldenUnderCoalitions drives the exact workload the
 // Shapley evaluation loop produces — dirty tables with masked (nulled)
 // cells and constraint subsets — through CellRepaired twice per coalition:
-// once with the ScratchRepairer fast path, once with the interface hidden
+// once with the PlannedRepairer fast path, once with the interface hidden
 // behind Func (the legacy clone path). The binary views must agree bit for
 // bit.
 func TestRepairIntoGoldenUnderCoalitions(t *testing.T) {
@@ -121,11 +121,11 @@ func TestRepairIntoGoldenUnderCoalitions(t *testing.T) {
 					subset = append(subset, c)
 				}
 			}
-			fast, err := CellRepaired(ctx, alg, subset, ll.Dirty, cell, target)
+			fast, err := CellRepaired(ctx, alg, subset, ll.Dirty, cell, target, nil, nil)
 			if err != nil {
 				t.Fatalf("%s mask %b: %v", alg.Name(), mask, err)
 			}
-			slow, err := CellRepaired(ctx, legacy, subset, ll.Dirty, cell, target)
+			slow, err := CellRepaired(ctx, legacy, subset, ll.Dirty, cell, target, nil, nil)
 			if err != nil {
 				t.Fatalf("%s mask %b (legacy): %v", alg.Name(), mask, err)
 			}
@@ -141,11 +141,11 @@ func TestRepairIntoGoldenUnderCoalitions(t *testing.T) {
 					masked.SetRef(ref, table.Null())
 				}
 			}
-			fast, err := CellRepaired(ctx, alg, ll.DCs, masked, cell, target)
+			fast, err := CellRepaired(ctx, alg, ll.DCs, masked, cell, target, nil, nil)
 			if err != nil {
 				t.Fatalf("%s masked %d: %v", alg.Name(), n, err)
 			}
-			slow, err := CellRepaired(ctx, legacy, ll.DCs, masked, cell, target)
+			slow, err := CellRepaired(ctx, legacy, ll.DCs, masked, cell, target, nil, nil)
 			if err != nil {
 				t.Fatalf("%s masked %d (legacy): %v", alg.Name(), n, err)
 			}
@@ -200,12 +200,12 @@ func TestCellRepairedScratchAllocs(t *testing.T) {
 	cell := ll.CellOfInterest
 	target := table.String("Spain")
 	for i := 0; i < 4; i++ {
-		if _, err := CellRepaired(ctx, alg, ll.DCs, ll.Dirty, cell, target); err != nil {
+		if _, err := CellRepaired(ctx, alg, ll.DCs, ll.Dirty, cell, target, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		if _, err := CellRepaired(ctx, alg, ll.DCs, ll.Dirty, cell, target); err != nil {
+		if _, err := CellRepaired(ctx, alg, ll.DCs, ll.Dirty, cell, target, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {

@@ -124,7 +124,9 @@ func (s *Server) guard(w http.ResponseWriter, id string, entry *session) func() 
 			return
 		}
 		cause := fmt.Sprintf("%v", r)
+		s.mu.Lock()
 		entry.quarantined = &quarantineError{id: id, cause: cause}
+		s.mu.Unlock()
 		// The stack goes to stderr for the operator; the response carries
 		// the cause only.
 		fmt.Fprintf(os.Stderr, "server: panic in session %s: %v\n%s", id, r, debug.Stack())
@@ -240,8 +242,16 @@ func (s *Server) evictLocked(id string, entry *session) bool {
 		return false
 	}
 	entry.sess = nil
-	entry.spooled = true
+	s.setSpooled(entry, true)
 	return true
+}
+
+// setSpooled writes entry.spooled under Server.mu as well; the caller
+// holds entry.mu (see the session struct for the two-lock discipline).
+func (s *Server) setSpooled(entry *session, spooled bool) {
+	s.mu.Lock()
+	entry.spooled = spooled
+	s.mu.Unlock()
 }
 
 // spoolPath is the snapshot file of one session id.
@@ -331,7 +341,7 @@ func (s *Server) restoreLockedInner(id string, entry *session) error {
 		return fmt.Errorf("restoring session %s: %w", id, err)
 	}
 	entry.sess = sess
-	entry.spooled = false
+	s.setSpooled(entry, false)
 	return nil
 }
 

@@ -34,10 +34,13 @@ type session struct {
 	// quarantined is set when a request against this session panicked;
 	// every later request answers 409 with the diagnostics until restart
 	// (the panic may have left black-box scratch state torn, so the
-	// session is fenced rather than trusted). Guarded by mu.
+	// session is fenced rather than trusted). Written with both mu and
+	// Server.mu held, read under either: handlers read it under mu, the
+	// LRU scan in enforceBudget under Server.mu alone.
 	quarantined error
 	// spooled marks a session evicted to the spool directory (sess is
-	// nil); the next request restores it. Guarded by mu.
+	// nil); the next request restores it. Written with both mu and
+	// Server.mu held, read under either, like quarantined.
 	spooled bool
 	// lastTouch is the server clock tick of the last request — the LRU
 	// eviction key. Guarded by Server.mu.

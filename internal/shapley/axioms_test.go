@@ -50,12 +50,15 @@ func axiomFixture(t *testing.T) (*table.Table, []*dc.Constraint, table.CellRef) 
 }
 
 // axiomExplainers builds the uncached and cached (session-engine)
-// explainers over the fixture.
+// explainers over the fixture. The uncached explainer queries the black
+// box through repair.Func, so every evaluation runs the box's plain
+// Repair (no plan, no pool), and axiomGames never binds its games to a
+// coalition cache.
 func axiomExplainers(t *testing.T) map[string]*core.Explainer {
 	t.Helper()
 	tbl, cs, _ := axiomFixture(t)
 	alg := repair.NewRuleRepair(cs)
-	bare, err := core.NewExplainer(alg, cs, tbl)
+	bare, err := core.NewExplainer(repair.Func{AlgName: alg.Name(), Fn: alg.Repair}, cs, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func axiomExplainers(t *testing.T) map[string]*core.Explainer {
 // explainer and policy, both restricted to rosters that include the dummy
 // players. It returns the games keyed by kind plus the dummy player index
 // of each.
-func axiomGames(t *testing.T, e *core.Explainer, policy core.ReplacementPolicy) map[string]struct {
+func axiomGames(t *testing.T, e *core.Explainer, policy core.ReplacementPolicy, cached bool) map[string]struct {
 	game  shapley.StochasticGame
 	dummy int
 } {
@@ -92,10 +95,11 @@ func axiomGames(t *testing.T, e *core.Explainer, policy core.ReplacementPolicy) 
 	roster := append(e.RelevantCells(cell), dummyRef)
 	cellGame.RestrictPlayers(roster)
 	// Enroll deterministic evaluations in the session's shared coalition
-	// cache when the explainer carries an engine (a no-op for the uncached
-	// explainer and the stochastic policy) — the "cached engine" leg of the
-	// metamorphic matrix.
-	cellGame.BindSharedCache()
+	// cache (a no-op for the stochastic policy) — the "cached engine" leg
+	// of the metamorphic matrix. The uncached leg stays unbound.
+	if cached {
+		cellGame.BindSharedCache()
+	}
 	cellDummy := -1
 	for k, ref := range cellGame.Players() {
 		if ref == dummyRef {
@@ -108,7 +112,9 @@ func axiomGames(t *testing.T, e *core.Explainer, policy core.ReplacementPolicy) 
 
 	groups := e.ColumnGroups(cell)
 	groupGame := e.NewGroupGame(cell, target, policy, groups)
-	groupGame.BindSharedCache()
+	if cached {
+		groupGame.BindSharedCache()
+	}
 	groupDummy := -1
 	for k, g := range groupGame.Groups() {
 		if g.Name == "col D" {
@@ -161,7 +167,7 @@ func TestAxiomEfficiencySampled(t *testing.T) {
 		for policyName, policy := range map[string]core.ReplacementPolicy{
 			"null": core.ReplaceWithNull, "column": core.ReplaceFromColumn,
 		} {
-			for gameKind, fx := range axiomGames(t, e, policy) {
+			for gameKind, fx := range axiomGames(t, e, policy, engineKind == "cached") {
 				label := engineKind + "/" + policyName + "/" + gameKind
 				ests, err := shapley.SampleAll(ctx, fx.game, opts)
 				if err != nil {
@@ -205,7 +211,7 @@ func TestAxiomEfficiencySampled(t *testing.T) {
 func TestAxiomEfficiencyExact(t *testing.T) {
 	ctx := context.Background()
 	for engineKind, e := range axiomExplainers(t) {
-		for gameKind, fx := range axiomGames(t, e, core.ReplaceWithNull) {
+		for gameKind, fx := range axiomGames(t, e, core.ReplaceWithNull, engineKind == "cached") {
 			label := engineKind + "/" + gameKind
 			g := fx.game.(shapley.Game)
 			values, err := shapley.ExactSubsets(ctx, g)
@@ -235,7 +241,7 @@ func TestAxiomNullPlayer(t *testing.T) {
 		for policyName, policy := range map[string]core.ReplacementPolicy{
 			"null": core.ReplaceWithNull, "column": core.ReplaceFromColumn,
 		} {
-			for gameKind, fx := range axiomGames(t, e, policy) {
+			for gameKind, fx := range axiomGames(t, e, policy, engineKind == "cached") {
 				label := engineKind + "/" + policyName + "/" + gameKind
 				ests, err := shapley.SampleAll(ctx, fx.game, shapley.Options{Samples: 60, Seed: 13, Workers: 2})
 				if err != nil {
@@ -265,8 +271,8 @@ func TestAxiomCachedUncachedBitIdentical(t *testing.T) {
 	for policyName, policy := range map[string]core.ReplacementPolicy{
 		"null": core.ReplaceWithNull, "column": core.ReplaceFromColumn,
 	} {
-		cached := axiomGames(t, exps["cached"], policy)
-		uncached := axiomGames(t, exps["uncached"], policy)
+		cached := axiomGames(t, exps["cached"], policy, true)
+		uncached := axiomGames(t, exps["uncached"], policy, false)
 		for gameKind := range cached {
 			label := policyName + "/" + gameKind
 			a, err := shapley.SampleAll(ctx, cached[gameKind].game, opts)

@@ -19,7 +19,7 @@ import (
 //
 // A Distribution is reusable: Reset clears the observations while keeping
 // the value interning table, so pooled statistics rebuilt over successive
-// repair states (repair.ScratchRepairer) allocate nothing once every value
+// repair states (repair.PlannedRepairer) allocate nothing once every value
 // in the column's domain has been seen at least once. All query methods see
 // only values observed since the last Reset, exactly as a fresh
 // Distribution would.

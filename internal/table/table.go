@@ -385,7 +385,7 @@ func (t *Table) Clone() *Table {
 // cell whose content actually changed in the edit log, in row-major
 // order, so scan indexes bound to this table catch up with per-bucket
 // deltas instead of rebuilding; a shape change resets the log. It is the
-// refresh step of the in-place repair protocol (repair.ScratchRepairer):
+// refresh step of the in-place repair protocol (repair.PlannedRepairer):
 // steady-state refreshes of a pooled work table allocate nothing.
 //
 // The delta-refresh contract: after a copy the table remembers src (by an
