@@ -90,7 +90,7 @@
 //     only on (Samples, Seed); chunk accumulators merge in chunk order, so
 //     Workers=1 and Workers=N produce bit-identical estimates (CI asserts
 //     this). One-marginal samplers (SamplePlayer, TopK) additionally morph
-//     walks coalition-to-coalition through shapley.DeltaWalk (Exclude),
+//     walks coalition-to-coalition through CoalitionWalk.Exclude,
 //     and the group walk restores its mask baseline from a precomputed
 //     layout copy instead of re-walking every group per sample.
 //
@@ -230,11 +230,15 @@
 //     operand hoisted and compared through typed column views
 //     (table.IntCol/FloatCol/StringCol). Kernels and column resolutions
 //     are schema-scoped — re-pointing the index at a clone recompiles
-//     nothing — while buckets are table-scoped. The interpreted evaluator
-//     (Predicate.Eval / SatisfiedPair) remains the cross-validation
-//     reference: every nil-index scan runs it, and property tests fuzz
-//     kernel against interpreter across randomized schemas, NaN/±0.0
-//     values and all six operators.
+//     nothing — while buckets are table-scoped. The index is required:
+//     every production violation check (AppendViolations,
+//     ViolatesRowCached, ViolationPairsForRow, the live set) runs the
+//     kernel behind it, including single-tuple and keyless constraints.
+//     The interpreted evaluator (Predicate.Eval / SatisfiedPair, reached
+//     through the naive Constraint.Violations) is only the
+//     cross-validation reference: property tests fuzz kernel against
+//     interpreter across randomized schemas, NaN/±0.0 values and all six
+//     operators.
 //   - LiveViolationSet: the materialized answer — per-(constraint, table)
 //     violation-pair lists, sorted (Row1, Row2), on tables of every size
 //     (there is no small-table rescan mode). A cell edit retracts the

@@ -233,14 +233,15 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 		}},
 	)
 
-	// Violation scans: indexed vs cached buckets on a generated table.
+	// Violation scans: a fresh index per scan vs buckets cached across
+	// scans, on a generated table.
 	soccer := data.GenerateSoccer(data.SoccerConfig{Leagues: 4, TeamsPerLeague: 32, Seed: 11})
 	fd := dc.MustParse("C1: !(t1.League = t2.League & t1.Country != t2.Country)")
 	out = append(out,
 		perfScenario{name: "violations/indexed", bench: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := fd.ViolationsIndexed(soccer); err != nil {
+				if _, err := fd.ViolationsCached(soccer, dc.NewScanIndex()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -268,7 +269,7 @@ func perfScenarios(short bool, workers int) ([]perfScenario, error) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				editTable.Set(1, countryCol, editValues[i%2])
-				if _, err := fd.ViolationsIndexed(editTable); err != nil {
+				if _, err := fd.ViolationsCached(editTable, dc.NewScanIndex()); err != nil {
 					b.Fatal(err)
 				}
 			}

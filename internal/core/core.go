@@ -769,7 +769,7 @@ func (w *cellWalk) Include(p int) {
 	w.sc.tbl.SetRef(w.g.players[p], w.g.origs[p])
 }
 
-// Exclude implements shapley.DeltaWalk: the inverse single-cell delta,
+// Exclude implements shapley.CoalitionWalk: the inverse single-cell delta,
 // letting samplers morph one sample's coalition into the next instead of
 // re-masking every player from the empty coalition. Under the null policy
 // the cell returns to Null; under ReplaceFromColumn the next Value simply

@@ -222,8 +222,8 @@ func TestSessionExplainCellsWorkerDeterminism(t *testing.T) {
 }
 
 // TestDeltaWalkMarginalEquivalence: the coalition-morphing fast path of
-// SamplePlayer (DeltaWalk: Exclude + Include diffs instead of per-sample
-// rebuilds) must reproduce the generic clone path bit-for-bit on both cell
+// SamplePlayer (CoalitionWalk Exclude + Include diffs instead of
+// per-sample rebuilds) must reproduce the generic clone path bit-for-bit on both cell
 // and group games, under both replacement policies.
 func TestDeltaWalkMarginalEquivalence(t *testing.T) {
 	ctx := context.Background()
@@ -346,9 +346,7 @@ func TestConstraintEditInvalidatesEngine(t *testing.T) {
 // equal to the dirty table after Close.
 func TestGroupWalkExcludeRestores(t *testing.T) {
 	game := toyGroupGame(t, 5, ReplaceWithNull)
-	w := game.NewWalk().(interface {
-		shapley.DeltaWalk
-	})
+	w := game.NewWalk()
 	w.Reset()
 	w.Include(1)
 	w.Include(3)

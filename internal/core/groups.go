@@ -395,7 +395,7 @@ func (c cloneEvalGroupGame) Value(ctx context.Context, coalition []bool) (float6
 // to its dirty value only when the last absent group containing it joins
 // the coalition — exactly the final state the batch mask produces.
 //
-// The walk is incremental in both directions (shapley.DeltaWalk): Exclude
+// The walk is incremental in both directions: Exclude
 // re-masks a group, which lets the one-marginal samplers morph between
 // consecutive samples' coalitions instead of re-walking all groups per
 // sample, and Reset restores the all-absent mask baseline with one copy of
@@ -459,7 +459,7 @@ func (w *groupWalk) Include(p int) {
 	}
 }
 
-// Exclude implements shapley.DeltaWalk: the inverse per-group delta. A
+// Exclude implements shapley.CoalitionWalk: the inverse per-group delta. A
 // cell re-masks (under the null policy) when its first absent group
 // reappears; cells still covered by other absent groups were masked
 // already.

@@ -267,7 +267,6 @@ func TestCellWalkAllocsSoccer48(t *testing.T) {
 	}
 	w := game.NewWalk()
 	defer w.Close()
-	dw := w.(shapley.DeltaWalk)
 	walk := func() {
 		w.Reset()
 		for p := 0; p < n; p++ {
@@ -277,7 +276,7 @@ func TestCellWalkAllocsSoccer48(t *testing.T) {
 			}
 		}
 		for p := 0; p < n; p += 7 {
-			dw.Exclude(p)
+			w.Exclude(p)
 			if _, err := w.Value(ctx, nil); err != nil {
 				t.Fatal(err)
 			}

@@ -53,7 +53,11 @@ func TestLaLigaCleanIsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ok {
-		vs, _ := dc.AllViolations(ll.DCs, ll.Clean)
+		var vs []dc.Violation
+		for _, c := range ll.DCs {
+			cv, _ := c.Violations(ll.Clean)
+			vs = append(vs, cv...)
+		}
 		t.Fatalf("clean table violates constraints: %v", vs)
 	}
 	ok, err = dc.Consistent(ll.DCs, ll.Dirty)
@@ -90,7 +94,11 @@ func TestGenerateSoccerConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ok {
-		vs, _ := dc.AllViolations(SoccerDCs(), tbl)
+		var vs []dc.Violation
+		for _, c := range SoccerDCs() {
+			cv, _ := c.Violations(tbl)
+			vs = append(vs, cv...)
+		}
 		t.Fatalf("generated table must satisfy C1..C4, got %v", vs)
 	}
 }

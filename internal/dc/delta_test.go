@@ -51,7 +51,7 @@ func assertSameViolations(t *testing.T, label string, cs []*Constraint, tbl *tab
 		if err != nil {
 			t.Fatalf("%s/%s: cached: %v", label, c.ID, err)
 		}
-		want, err := c.ViolationsIndexed(tbl)
+		want, err := c.ViolationsCached(tbl, NewScanIndex())
 		if err != nil {
 			t.Fatalf("%s/%s: fresh: %v", label, c.ID, err)
 		}
@@ -69,7 +69,7 @@ func assertSameViolations(t *testing.T, label string, cs []*Constraint, tbl *tab
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRow, err := c.ViolatesRow(tbl, row)
+			wantRow, err := violatesRowRef(c, tbl, row)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func assertSameViolations(t *testing.T, label string, cs []*Constraint, tbl *tab
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantN, err := c.ViolationPairsForRow(tbl, row, nil)
+			wantN, err := violationPairsRef(c, tbl, row)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +248,7 @@ func TestJoinKeyUnifiesNumericKinds(t *testing.T) {
 		t.Fatalf("indexed scan found %d violations, exact scan %d", len(got), len(want))
 	}
 	for i := 0; i < tbl.NumRows(); i++ {
-		exact, err := c.ViolatesRow(tbl, i)
+		exact, err := violatesRowRef(c, tbl, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestJoinKeyUnifiesNumericKinds(t *testing.T) {
 		if exact != indexed {
 			t.Fatalf("row %d: exact %v, bucket-restricted %v", i, exact, indexed)
 		}
-		nExact, err := c.ViolationPairsForRow(tbl, i, nil)
+		nExact, err := violationPairsRef(c, tbl, i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,33 +42,11 @@ func (c *Constraint) SatisfiedPair(t *table.Table, i, j int) (bool, error) {
 	return true, nil
 }
 
-// ViolatesRow reports whether row i participates in any violation of the
-// constraint: as the single tuple for single-tuple DCs, or bound to either
-// t1 or t2 against any other row for pair DCs. This is the "tuple t has a
-// contradiction according to C" primitive of the paper's Algorithm 1.
-func (c *Constraint) ViolatesRow(t *table.Table, i int) (bool, error) {
-	if c.SingleTuple() {
-		return c.SatisfiedPair(t, i, i)
-	}
-	for j := 0; j < t.NumRows(); j++ {
-		if j == i {
-			continue
-		}
-		if sat, err := c.SatisfiedPair(t, i, j); err != nil || sat {
-			return sat, err
-		}
-		if sat, err := c.SatisfiedPair(t, j, i); err != nil || sat {
-			return sat, err
-		}
-	}
-	return false, nil
-}
-
 // Violations scans the whole table and returns every violation of the
 // constraint. Pair violations are reported once per ordered pair (i, j)
 // with i != j that satisfies the body; callers that want unordered pairs
-// can deduplicate with min/max. The scan is the naive O(n²) reference; see
-// ViolationsIndexed for the accelerated version.
+// can deduplicate with min/max. The scan is the naive O(n²) interpreted
+// reference that tests hold the compiled scan (ViolationsCached) to.
 func (c *Constraint) Violations(t *table.Table) ([]Violation, error) {
 	var out []Violation
 	if c.SingleTuple() {
@@ -118,11 +96,10 @@ func (c *Constraint) equalityJoinAttrs() []string {
 // JoinColumns resolves the equality join attributes to column indexes;
 // empty when the constraint has no usable join key. An attribute missing
 // from the schema (an unvalidated constraint) yields no join key at all
-// rather than a panic: the caller then falls through to the
-// kernel/interpreted scan, whose operand resolution reports the proper
-// "attribute not in schema" error — identically on every evaluation
-// path. The set planner (internal/dc/plan) uses the same resolution so
-// its partition-sharing analysis and the executor agree exactly.
+// rather than a panic; the kernel compile reports the proper "attribute
+// not in schema" error before any scan runs. The set planner
+// (internal/dc/plan) uses the same resolution so its partition-sharing
+// analysis and the executor agree exactly.
 func (c *Constraint) JoinColumns(schema *table.Schema) []int {
 	attrs := c.equalityJoinAttrs()
 	cols := make([]int, 0, len(attrs))
@@ -149,8 +126,8 @@ func (c *Constraint) joinCols(t *table.Table) []int {
 // NaN ≠ NaN), so they are excluded from bucketing entirely. Keying NaN
 // rows into a shared bucket instead would be sound only for consumers that
 // re-verify every pair; consumers that trust the partition as an equality
-// grouping (ForEachJoinGroup, the FD chase) would treat NaN rows as
-// joined when the = predicate says they never are. The byte form lets
+// grouping (the FD chase) would treat NaN rows as joined when the =
+// predicate says they never are. The byte form lets
 // callers probe bucket maps via the compiler's alloc-free
 // map[string(bytes)] access.
 func appendCompositeKey(buf []byte, t *table.Table, row int, cols []int) ([]byte, bool) {
@@ -368,6 +345,11 @@ func insertSortedRow(s []int, row int) []int {
 // Wholesale invalidation (a different table, a schema switch, or a log
 // overrun) falls back to lazy full rebuilds.
 //
+// Every production violation check — AppendViolations, ViolatesRowCached,
+// ViolationPairsForRow and the LiveViolationSet built on top — runs the
+// compiled Kernel behind a ScanIndex; the interpreted Violations and
+// SatisfiedPair are the reference tests hold it to.
+//
 // A ScanIndex is confined to one goroutine (typically one repair run); the
 // zero value is NOT ready to use — construct with NewScanIndex.
 type ScanIndex struct {
@@ -392,8 +374,10 @@ type ScanIndex struct {
 	rows        int
 	remap       table.RowRemap
 	reinsertBuf []int
-	// alive is the shared survivor mask for columnar bucket filtering.
-	alive []bool
+	// alive is the shared survivor mask for columnar bucket filtering;
+	// allRows is 0..rows-1, the candidates of a constraint with no join key.
+	alive   []bool
+	allRows []int
 	// plan is the constraint-set plan in effect, nil for unplanned
 	// execution. pre/preOrdered hold the plan's materialized pre-filter
 	// bitmaps per constraint; the slice gives sync a deterministic sweep.
@@ -461,24 +445,6 @@ func (ix *ScanIndex) entryFor(c *Constraint, t *table.Table) colsEntry {
 	}
 	ix.colsOf[c] = e
 	return e
-}
-
-// kernelFor returns c's compiled predicate kernel over t's schema.
-func (ix *ScanIndex) kernelFor(c *Constraint, t *table.Table) (*Kernel, error) {
-	e := ix.entryFor(c, t)
-	return e.kern, e.kernErr
-}
-
-// aliveFor returns the shared survivor mask resized to n, every entry true.
-func (ix *ScanIndex) aliveFor(n int) []bool {
-	if cap(ix.alive) < n {
-		ix.alive = make([]bool, n)
-	}
-	ix.alive = ix.alive[:n]
-	for i := range ix.alive {
-		ix.alive[i] = true
-	}
-	return ix.alive
 }
 
 // sync points the index at t, catching up from the table's edit log when
@@ -550,9 +516,9 @@ func (ix *ScanIndex) sync(t *table.Table) {
 
 // bucketSetFor returns the synced partition over c's exact join-column
 // signature, or nil when the constraint has no equality join key. Group
-// enumeration (ForEachJoinGroup, the FD chase) must use this partition:
-// its buckets are the equivalence classes of the composite join key, a
-// semantics a plan-shared coarser partition does not provide.
+// enumeration (the FD chase) must use this partition: its buckets are the
+// equivalence classes of the composite join key, a semantics a plan-shared
+// coarser partition does not provide.
 func (ix *ScanIndex) bucketSetFor(c *Constraint, t *table.Table) *bucketSet {
 	e := ix.entryFor(c, t)
 	return ix.bucketSetBySig(e.cols, e.sig, t)
@@ -608,21 +574,8 @@ func colsSignature(cols []int) string {
 	return internSignature(b)
 }
 
-// ViolationsIndexed is Violations accelerated with a hash partition on the
-// composite of all equality join attributes when any exist (e.g.
-// t1.Team = t2.Team ∧ t1.Year = t2.Year buckets on (Team, Year)). Rows are
-// bucketed by those attributes' values and only intra-bucket pairs are
-// checked, turning the common FD-shaped constraint from O(n²) into
-// O(n + Σ bucket²). Falls back to the naive scan when no join key exists.
-// The output order matches Violations exactly.
-func (c *Constraint) ViolationsIndexed(t *table.Table) ([]Violation, error) {
-	return c.ViolationsCached(t, nil)
-}
-
-// ViolationsCached is ViolationsIndexed with an optional ScanIndex: when ix
-// is non-nil the hash buckets are reused across scans of the same table
-// generation instead of rebuilt per call. It is AppendViolations into a
-// fresh slice.
+// ViolationsCached returns every violation of the constraint through ix;
+// see AppendViolations.
 func (c *Constraint) ViolationsCached(t *table.Table, ix *ScanIndex) ([]Violation, error) {
 	return c.AppendViolations(t, ix, nil)
 }
@@ -630,156 +583,108 @@ func (c *Constraint) ViolationsCached(t *table.Table, ix *ScanIndex) ([]Violatio
 // AppendViolations appends every violation of the constraint to out and
 // returns the extended slice, so hot loops (repair passes re-scanning after
 // each fix) can reuse one buffer across calls. Output order and contents
-// match Violations exactly. With an index, intra-bucket pairs are checked
-// through the compiled columnar kernel; without one, the interpreted scan
-// runs (the cross-validation reference).
+// match Violations exactly. Pairs are checked by the compiled columnar
+// kernel inside the hash buckets of the composite equality join key when
+// one exists (e.g. t1.Team = t2.Team ∧ t1.Year = t2.Year buckets on
+// (Team, Year)), turning the common FD-shaped constraint from O(n²) into
+// O(n + Σ bucket²); ix keeps the buckets across scans of the same table.
+// ix is required.
 func (c *Constraint) AppendViolations(t *table.Table, ix *ScanIndex, out []Violation) ([]Violation, error) {
-	if c.SingleTuple() || ix == nil {
-		return c.appendViolationsScan(t, out)
-	}
 	e := ix.entryFor(c, t)
-	bs := ix.scanBucketSetFor(e, t)
-	if bs == nil {
-		return c.appendViolationsScan(t, out)
-	}
 	if e.kernErr != nil {
 		return out, e.kernErr
 	}
-	// Pre-filter bitmaps (planned execution only): anchors failing the
-	// t1-side predicates are skipped outright, candidates failing the
-	// t2 side are pre-masked, and the residual kernel checks the rest.
-	var pass0, pass1 []bool
-	if pf := ix.prefilterFor(c, t); pf != nil {
-		pass0, pass1 = pf.pass0, pf.pass1
-	}
-	base := len(out)
-	for _, rows := range bs.members[:bs.nSlots] {
-		if len(rows) < 2 {
-			continue
-		}
-		alive := ix.aliveFor(len(rows))
-		for n, i := range rows {
-			if pass0 != nil && !pass0[i] {
-				continue
-			}
-			any := false
-			for m := range alive {
-				ok := m != n && (pass1 == nil || pass1[rows[m]])
-				alive[m] = ok
-				any = any || ok
-			}
-			if !any {
-				continue
-			}
-			e.resid.Filter(t, 0, i, rows, alive)
-			for m, j := range rows {
-				if alive[m] {
-					out = append(out, Violation{Constraint: c, Row1: i, Row2: j})
-				}
-			}
-		}
-	}
-	added := out[base:]
-	slices.SortFunc(added, violationOrder)
-	return out, nil
+	return ix.appendScan(c, e, t, out), nil
 }
 
-// appendViolationsScan is the unindexed append form of Violations: the
-// single-tuple scan, or the naive pair scan when no join key exists. It
-// also handles constraints with join keys when no index is supplied, by
-// bucketing on the fly.
-func (c *Constraint) appendViolationsScan(t *table.Table, out []Violation) ([]Violation, error) {
+// appendScan is the serial violation scan shared by AppendViolations and
+// LiveViolationSet.derive: single-tuple constraints row by row, constraints
+// with no join key over every ordered pair, all others bucket by bucket
+// behind the plan's pre-filters. The appended pairs are sorted by (Row1,
+// Row2). e must carry a compiled kernel.
+func (ix *ScanIndex) appendScan(c *Constraint, e colsEntry, t *table.Table, out []Violation) []Violation {
+	n := t.NumRows()
 	if c.SingleTuple() {
-		for i := 0; i < t.NumRows(); i++ {
-			sat, err := c.SatisfiedPair(t, i, i)
-			if err != nil {
-				return out, err
-			}
-			if sat {
-				out = append(out, Violation{Constraint: c, Row1: i, Row2: i})
+		for r := 0; r < n; r++ {
+			if e.kern.Pair(t, r, r) {
+				out = append(out, Violation{Constraint: c, Row1: r, Row2: r})
 			}
 		}
-		return out, nil
+		return out
 	}
-	cols := c.joinCols(t)
-	if len(cols) == 0 {
-		for i := 0; i < t.NumRows(); i++ {
-			for j := 0; j < t.NumRows(); j++ {
-				if i == j {
-					continue
-				}
-				sat, err := c.SatisfiedPair(t, i, j)
-				if err != nil {
-					return out, err
-				}
-				if sat {
-					out = append(out, Violation{Constraint: c, Row1: i, Row2: j})
-				}
-			}
-		}
-		return out, nil
-	}
-	var bs bucketSet
-	bs.cols = cols
-	bs.idx = make(map[string]int)
-	var keyBuf []byte
-	bs.rebuild(t, &keyBuf)
-	base := len(out)
-	for _, rows := range bs.members[:bs.nSlots] {
-		for _, i := range rows {
-			for _, j := range rows {
-				if i == j {
-					continue
-				}
-				sat, err := c.SatisfiedPair(t, i, j)
-				if err != nil {
-					return out, err
-				}
-				if sat {
-					out = append(out, Violation{Constraint: c, Row1: i, Row2: j})
-				}
-			}
-		}
-	}
-	added := out[base:]
-	slices.SortFunc(added, violationOrder)
-	return out, nil
-}
-
-// ViolatesRowCached is ViolatesRow restricted to the row's hash bucket when
-// the constraint has equality join attributes: only bucket partners can
-// co-satisfy the equality predicates, so the per-row check drops from
-// O(n) to O(bucket), and the incrementally-maintained reverse index makes
-// the bucket lookup key-free. Semantics match ViolatesRow exactly.
-func (c *Constraint) ViolatesRowCached(t *table.Table, i int, ix *ScanIndex) (bool, error) {
-	if c.SingleTuple() {
-		return c.SatisfiedPair(t, i, i)
-	}
-	if ix == nil {
-		return c.ViolatesRow(t, i)
-	}
-	e := ix.entryFor(c, t)
+	sc := ix.bucketScan(c, e, t)
 	bs := ix.scanBucketSetFor(e, t)
 	if bs == nil {
-		return c.ViolatesRow(t, i)
+		// One bucket holding every row, scanned in row order: already sorted.
+		return scanBucket(&sc, t, ix.allRowsFor(n), &ix.alive, out)
 	}
-	slot := bs.rowBucket[i]
-	if slot < 0 {
-		// A null join key makes every equality predicate unknown, and a NaN
-		// join key can never satisfy = : row i cannot participate in any
-		// pair violation of this constraint. (The scan partition's columns
-		// are a subset of the exact join columns, so its null exclusion
-		// implies an unknown equality predicate just the same.)
-		return false, nil
+	base := len(out)
+	for _, rows := range bs.members[:bs.nSlots] {
+		out = scanBucket(&sc, t, rows, &ix.alive, out)
 	}
+	slices.SortFunc(out[base:], violationOrder)
+	return out
+}
+
+// bucketScan returns the bucket pair enumeration of c: the residual kernel
+// and, under a plan, c's pre-filter bitmaps synced to t.
+func (ix *ScanIndex) bucketScan(c *Constraint, e colsEntry, t *table.Table) bucketScan {
+	sc := bucketScan{kern: e.resid, c: c}
+	if pf := ix.prefilterFor(c, t); pf != nil {
+		sc.pass0, sc.pass1 = pf.pass0, pf.pass1
+	}
+	return sc
+}
+
+// partners returns the rows that can pair with row i under a pair
+// constraint: i's scan bucket (only bucket partners can co-satisfy the
+// equality predicates), every row when the constraint has no join key, or
+// nil when i's join key is null or NaN — a null key makes every equality
+// predicate unknown and NaN never satisfies =, so i pairs with nothing.
+// (The scan partition's columns are a subset of the exact join columns, so
+// its exclusion implies an unsatisfiable equality predicate just the same.)
+// The slice aliases index storage and includes i itself.
+func (ix *ScanIndex) partners(e colsEntry, t *table.Table, i int) []int {
+	bs := ix.scanBucketSetFor(e, t)
+	if bs == nil {
+		return ix.allRowsFor(t.NumRows())
+	}
+	if slot := bs.rowBucket[i]; slot >= 0 {
+		return bs.members[slot]
+	}
+	return nil
+}
+
+// allRowsFor returns 0..n-1: the one bucket of a constraint with no join
+// key.
+func (ix *ScanIndex) allRowsFor(n int) []int {
+	if len(ix.allRows) != n {
+		ix.allRows = ix.allRows[:0]
+		for j := 0; j < n; j++ {
+			ix.allRows = append(ix.allRows, j)
+		}
+	}
+	return ix.allRows
+}
+
+// ViolatesRowCached reports whether row i participates in any violation of
+// the constraint: as the single tuple for single-tuple DCs, or bound to
+// either t1 or t2 against any other row for pair DCs. This is the "tuple t
+// has a contradiction according to C" primitive of the paper's Algorithm 1.
+// Only the row's hash bucket is checked when the constraint has equality
+// join attributes, so the per-row check costs O(bucket) instead of O(n),
+// and the incrementally-maintained reverse index makes the bucket lookup
+// key-free. ix is required.
+func (c *Constraint) ViolatesRowCached(t *table.Table, i int, ix *ScanIndex) (bool, error) {
+	e := ix.entryFor(c, t)
 	if e.kernErr != nil {
 		return false, e.kernErr
 	}
-	for _, j := range bs.members[slot] {
-		if j == i {
-			continue
-		}
-		if e.kern.Pair(t, i, j) || e.kern.Pair(t, j, i) {
+	if c.SingleTuple() {
+		return e.kern.Pair(t, i, i), nil
+	}
+	for _, j := range ix.partners(e, t, i) {
+		if j != i && (e.kern.Pair(t, i, j) || e.kern.Pair(t, j, i)) {
 			return true, nil
 		}
 	}
@@ -789,109 +694,33 @@ func (c *Constraint) ViolatesRowCached(t *table.Table, i int, ix *ScanIndex) (bo
 // ViolationPairsForRow counts the ordered violating pairs row i
 // participates in under the constraint: for pair DCs, the number of (i, j)
 // and (j, i) bindings with j ≠ i that satisfy the denied conjunction; for
-// single-tuple DCs, 1 when the row itself violates. When an index is
-// supplied and the constraint has equality join keys, only the row's hash
-// bucket is scanned — partners outside it cannot satisfy the equality
-// predicates, so the count is identical at O(bucket) cost.
+// single-tuple DCs, 1 when the row itself violates. Like
+// ViolatesRowCached, only the row's hash bucket is scanned when the
+// constraint has equality join keys. ix is required.
 func (c *Constraint) ViolationPairsForRow(t *table.Table, i int, ix *ScanIndex) (int, error) {
+	e := ix.entryFor(c, t)
+	if e.kernErr != nil {
+		return 0, e.kernErr
+	}
 	if c.SingleTuple() {
-		sat, err := c.SatisfiedPair(t, i, i)
-		if err != nil || !sat {
-			return 0, err
+		if e.kern.Pair(t, i, i) {
+			return 1, nil
 		}
-		return 1, nil
+		return 0, nil
 	}
 	n := 0
-	count := func(j int) error {
+	for _, j := range ix.partners(e, t, i) {
 		if j == i {
-			return nil
+			continue
 		}
-		sat, err := c.SatisfiedPair(t, i, j)
-		if err != nil {
-			return err
-		}
-		if sat {
+		if e.kern.Pair(t, i, j) {
 			n++
 		}
-		sat, err = c.SatisfiedPair(t, j, i)
-		if err != nil {
-			return err
-		}
-		if sat {
+		if e.kern.Pair(t, j, i) {
 			n++
-		}
-		return nil
-	}
-	if ix != nil {
-		e := ix.entryFor(c, t)
-		if bs := ix.scanBucketSetFor(e, t); bs != nil {
-			slot := bs.rowBucket[i]
-			if slot < 0 {
-				return 0, nil
-			}
-			if e.kernErr != nil {
-				return 0, e.kernErr
-			}
-			for _, j := range bs.members[slot] {
-				if j == i {
-					continue
-				}
-				if e.kern.Pair(t, i, j) {
-					n++
-				}
-				if e.kern.Pair(t, j, i) {
-					n++
-				}
-			}
-			return n, nil
-		}
-	}
-	for j := 0; j < t.NumRows(); j++ {
-		if err := count(j); err != nil {
-			return 0, err
 		}
 	}
 	return n, nil
-}
-
-// ForEachJoinGroup invokes fn once per group of rows sharing c's composite
-// equality-join key (rows ascending within a group; groups in
-// bucket-interning order, which is deterministic for a deterministic edit
-// sequence). Groups excluded by a null join column are skipped. ok is
-// false, with fn never invoked, when the constraint has no equality join
-// key. The rows slice aliases index storage and must be treated as
-// read-only; fn may mutate non-join columns of t, and the index will catch
-// up on its next sync.
-func (c *Constraint) ForEachJoinGroup(t *table.Table, ix *ScanIndex, fn func(rows []int) error) (ok bool, err error) {
-	bs := ix.bucketSetFor(c, t)
-	if bs == nil {
-		return false, nil
-	}
-	for _, rows := range bs.members[:bs.nSlots] {
-		if len(rows) == 0 {
-			continue // interned slot whose bucket drained
-		}
-		if err := fn(rows); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
-// AllViolations runs the indexed scan for every constraint in order and
-// concatenates the results. One ScanIndex spans the whole pass, so
-// constraints sharing join columns share buckets.
-func AllViolations(cs []*Constraint, t *table.Table) ([]Violation, error) {
-	ix := NewScanIndex()
-	var out []Violation
-	for _, c := range cs {
-		vs, err := c.ViolationsCached(t, ix)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
-	}
-	return out, nil
 }
 
 // Consistent reports whether the table satisfies every constraint.

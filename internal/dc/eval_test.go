@@ -131,12 +131,16 @@ func TestViolatesRow(t *testing.T) {
 		{cs[0], 0, false}, // Barcelona consistent
 		{cs[2], 0, true},  // Spain vs España/Spore conflicts involve t1 too
 	} {
-		got, err := tc.c.ViolatesRow(tbl, tc.row)
+		ref, err := violatesRowRef(tc.c, tbl, tc.row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != tc.want {
-			t.Errorf("%s.ViolatesRow(t%d) = %v, want %v", tc.c.ID, tc.row+1, got, tc.want)
+		got, err := tc.c.ViolatesRowCached(tbl, tc.row, NewScanIndex())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref != tc.want || got != tc.want {
+			t.Errorf("%s row t%d: reference %v, ViolatesRowCached %v, want %v", tc.c.ID, tc.row+1, ref, got, tc.want)
 		}
 	}
 }
@@ -159,9 +163,12 @@ func TestSingleTupleConstraint(t *testing.T) {
 	if len(vs) != 1 || vs[0].Row1 != 0 || vs[0].Row2 != 0 {
 		t.Fatalf("violations = %v", vs)
 	}
-	got, err := c.ViolatesRow(tbl, 0)
+	got, err := c.ViolatesRowCached(tbl, 0, NewScanIndex())
 	if err != nil || !got {
-		t.Error("ViolatesRow must detect single-tuple violation")
+		t.Error("ViolatesRowCached must detect single-tuple violation")
+	}
+	if n, err := c.ViolationPairsForRow(tbl, 0, NewScanIndex()); err != nil || n != 1 {
+		t.Errorf("ViolationPairsForRow = %d, %v; a single-tuple violation counts once", n, err)
 	}
 }
 
@@ -172,7 +179,7 @@ func TestViolationsIndexedMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		indexed, err := c.ViolationsIndexed(tbl)
+		indexed, err := c.ViolationsCached(tbl, NewScanIndex())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +210,7 @@ func TestViolationsIndexedMatchesNaiveProperty(t *testing.T) {
 		}
 		tbl := table.MustFromStrings([]string{"A", "B"}, grid)
 		naive, err1 := c.Violations(tbl)
-		indexed, err2 := c.ViolationsIndexed(tbl)
+		indexed, err2 := c.ViolationsCached(tbl, NewScanIndex())
 		if err1 != nil || err2 != nil || len(naive) != len(indexed) {
 			return false
 		}
@@ -222,7 +229,7 @@ func TestViolationsIndexedMatchesNaiveProperty(t *testing.T) {
 func TestViolationsIndexedNullJoinKey(t *testing.T) {
 	tbl := table.MustFromStrings([]string{"A", "B"}, [][]string{{"", "1"}, {"", "2"}})
 	c := MustParse("!(t1.A = t2.A & t1.B != t2.B)")
-	vs, err := c.ViolationsIndexed(tbl)
+	vs, err := c.ViolationsCached(tbl, NewScanIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +241,7 @@ func TestViolationsIndexedNullJoinKey(t *testing.T) {
 func TestAllViolationsAndConsistent(t *testing.T) {
 	tbl := paperDirty(t)
 	cs := paperDCs(t)
-	all, err := AllViolations(cs, tbl)
+	all, err := allViolationsRef(cs, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +262,7 @@ func TestAllViolationsAndConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ok {
-		vs, _ := AllViolations(cs, clean)
+		vs, _ := allViolationsRef(cs, clean)
 		t.Fatalf("clean table must be consistent, got %v", vs)
 	}
 }
@@ -352,7 +359,7 @@ func TestViolationsIndexedCompositeKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := c.ViolationsIndexed(tbl)
+	indexed, err := c.ViolationsCached(tbl, NewScanIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +394,7 @@ func TestViolationsIndexedCompositeKeyProperty(t *testing.T) {
 		}
 		tbl := table.MustFromStrings([]string{"A", "B", "C"}, grid)
 		naive, err1 := c.Violations(tbl)
-		indexed, err2 := c.ViolationsIndexed(tbl)
+		indexed, err2 := c.ViolationsCached(tbl, NewScanIndex())
 		if err1 != nil || err2 != nil || len(naive) != len(indexed) {
 			return false
 		}
@@ -415,7 +422,7 @@ func TestScanIndexReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := c.ViolationsIndexed(tbl)
+		plain, err := c.ViolationsCached(tbl, NewScanIndex())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +446,7 @@ func TestScanIndexReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := c.ViolationsIndexed(tbl)
+	plain, err := c.ViolationsCached(tbl, NewScanIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,24 +455,38 @@ func TestScanIndexReuse(t *testing.T) {
 	}
 }
 
-// TestViolatesRowCachedMatches checks the bucketed per-row violation test
-// against the full-scan original on every row and constraint, with and
-// without a shared index, across a mutation.
+// TestViolatesRowCachedMatches checks the kernel-backed per-row probes
+// (ViolatesRowCached, ViolationPairsForRow) against the interpreted
+// full-scan references on every row and constraint through one shared
+// index, across mutations. Besides the paper's joinable pair DCs, the
+// inputs include a single-tuple constraint and a pair constraint with no
+// equality join key, which the probes check over every row.
 func TestViolatesRowCachedMatches(t *testing.T) {
 	tbl := paperDirty(t)
-	cs := paperDCs(t)
+	cs := append(paperDCs(t),
+		MustParse(`S1: !(t1.City = "Madrid" & t1.Country != "Spain")`),
+		MustParse("K1: !(t1.Place < t2.Place & t1.Country != t2.Country)"),
+	)
 	ix := NewScanIndex()
 	check := func() {
 		t.Helper()
 		for _, c := range cs {
 			for i := 0; i < tbl.NumRows(); i++ {
-				plain, err1 := c.ViolatesRow(tbl, i)
+				plain, err1 := violatesRowRef(c, tbl, i)
 				cached, err2 := c.ViolatesRowCached(tbl, i, ix)
 				if err1 != nil || err2 != nil {
 					t.Fatal(err1, err2)
 				}
 				if plain != cached {
 					t.Errorf("%s row %d: plain %v cached %v", c.ID, i, plain, cached)
+				}
+				wantN, err1 := violationPairsRef(c, tbl, i)
+				gotN, err2 := c.ViolationPairsForRow(tbl, i, ix)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if wantN != gotN {
+					t.Errorf("%s row %d: %d pairs plain, %d cached", c.ID, i, wantN, gotN)
 				}
 			}
 		}
@@ -476,4 +497,29 @@ func TestViolatesRowCachedMatches(t *testing.T) {
 	// Null join key: never a pair violation.
 	tbl.SetByName(5, "Team", table.Null())
 	check()
+}
+
+// TestProbeCompileErrorOnNullJoinKey: a constraint that does not compile
+// against the table reports its error from every probe on every row. The
+// kernel compile error used to be checked only after the bucket lookup, so
+// a row with a null join key answered (false, nil) while its neighbours
+// returned the error.
+func TestProbeCompileErrorOnNullJoinKey(t *testing.T) {
+	tbl := table.MustFromStrings([]string{"A"}, [][]string{{"x"}, {""}, {"x"}})
+	c := MustParse("C1: !(t1.A = t2.A & t1.Z != t2.Z)")
+	if _, err := c.Violations(tbl); err == nil {
+		t.Fatal("reference scan must fail on the unknown attribute")
+	}
+	ix := NewScanIndex()
+	if _, err := c.ViolationsCached(tbl, ix); err == nil {
+		t.Error("ViolationsCached must fail on the unknown attribute")
+	}
+	for i := 0; i < tbl.NumRows(); i++ {
+		if _, err := c.ViolatesRowCached(tbl, i, ix); err == nil {
+			t.Errorf("row %d: ViolatesRowCached hid the compile error", i)
+		}
+		if _, err := c.ViolationPairsForRow(tbl, i, ix); err == nil {
+			t.Errorf("row %d: ViolationPairsForRow hid the compile error", i)
+		}
+	}
 }

@@ -12,8 +12,8 @@ import (
 // The interpreted evaluator (Predicate.Eval via SatisfiedPair) resolves
 // attribute names through the schema map, allocates row views and walks the
 // three-valued-logic switch once per predicate per pair — fine for the
-// naive reference scan, but it is the inner loop of every bucketed
-// violation scan, and ROADMAP names it the dominant cost on large tables.
+// naive reference scan, too slow for the inner loop of every violation
+// check a repair makes.
 //
 // A Kernel is the compiled form of one constraint body over one schema:
 // every operand's column index is resolved once at compile time, and
@@ -26,11 +26,12 @@ import (
 // candidate with no schema lookups and no Value method dispatch.
 //
 // Kernels implement exactly the interpreted semantics — three-valued
-// logic, numeric kind unification, NaN and ±0.0 behaviour — and the
-// interpreted path is kept alive (Violations, appendViolationsScan, and
-// every nil-ScanIndex call) as the cross-validation reference; the
-// property tests in kernel_test.go fuzz the two against each other over
-// randomized schemas, tables and operators.
+// logic, numeric kind unification, NaN and ±0.0 behaviour. Every
+// production violation check runs a kernel behind a ScanIndex; the
+// interpreted path (SatisfiedPair, reached through the naive Violations)
+// is kept only as the cross-validation reference, and the property tests
+// in kernel_test.go fuzz the two against each other over randomized
+// schemas, tables and operators.
 
 // kernelPred is one compiled conjunct: operand columns resolved, constants
 // captured.

@@ -28,9 +28,11 @@ import (
 // full re-derivation, which for large tables fans out across disjoint
 // buckets on a worker pool.
 //
-// Lists are bit-identical to Constraint.AppendViolations output (itself
-// golden-tested against the naive interpreted scan): sorted by (Row1,
-// Row2), one entry per ordered violating pair.
+// A full derivation is the ScanIndex's serial scan — the one behind
+// Constraint.AppendViolations, golden-tested against the naive interpreted
+// scan — or its disjoint-bucket fan-out, so lists are bit-identical to
+// AppendViolations output: sorted by (Row1, Row2), one entry per ordered
+// violating pair.
 //
 // A LiveViolationSet is confined to one goroutine, like the ScanIndex it
 // wraps; the worker pool inside a full derivation only ever reads.
@@ -68,9 +70,8 @@ type LiveViolationSet struct {
 	newPairs    []Violation
 	slotSeen    []bool
 	slotOrder   []int
-	// rederive's candidate masks, and 0..rows-1 for keyless constraints.
+	// rederive's candidate masks.
 	aliveFwd, aliveRev []bool
-	allRows            []int
 }
 
 // Runner abstracts a bounded worker pool (exec.Pool) without importing it,
@@ -463,39 +464,20 @@ func (s *LiveViolationSet) applyListStructural(c *Constraint, l *liveList, t *ta
 // bucket adds.
 func (s *LiveViolationSet) rederive(c *Constraint, t *table.Table, rows []int, in []bool) error {
 	s.newPairs = s.newPairs[:0]
+	e := s.ix.entryFor(c, t)
+	if e.kernErr != nil {
+		return e.kernErr
+	}
 	if c.SingleTuple() {
-		kern, err := s.ix.kernelFor(c, t)
-		if err != nil {
-			return err
-		}
 		for _, r := range rows {
-			if kern.Pair(t, r, r) {
+			if e.kern.Pair(t, r, r) {
 				s.newPairs = append(s.newPairs, Violation{Constraint: c, Row1: r, Row2: r})
 			}
 		}
 		return nil
 	}
-	e := s.ix.entryFor(c, t)
-	if e.kernErr != nil {
-		return e.kernErr
-	}
-	bs := s.ix.scanBucketSetFor(e, t)
-	if bs == nil && len(s.allRows) != t.NumRows() {
-		s.allRows = s.allRows[:0]
-		for j := 0; j < t.NumRows(); j++ {
-			s.allRows = append(s.allRows, j)
-		}
-	}
 	for _, r := range rows {
-		cand := s.allRows
-		if bs != nil {
-			slot := bs.rowBucket[r]
-			if slot < 0 {
-				// Null/NaN join key: r participates in no pair.
-				continue
-			}
-			cand = bs.members[slot]
-		}
+		cand := s.ix.partners(e, t, r)
 		fwd, rev := s.aliveFwd[:0], s.aliveRev[:0]
 		any := false
 		for _, j := range cand {
@@ -524,11 +506,9 @@ func (s *LiveViolationSet) rederive(c *Constraint, t *table.Table, rows []int, i
 	return nil
 }
 
-// derive recomputes one list from scratch: the kernel-compiled bucket scan
-// (fanned out across disjoint buckets for large tables), the naive kernel
-// scan when the constraint has no join key, or the per-row scan for
-// single-tuple constraints. Output is sorted by (Row1, Row2), bit-identical
-// to AppendViolations.
+// derive recomputes one list from scratch: the index's serial scan, or for
+// large tables its bucket scan fanned out across disjoint buckets. Output
+// is sorted by (Row1, Row2), bit-identical to AppendViolations.
 func (s *LiveViolationSet) derive(c *Constraint, l *liveList, t *table.Table) error {
 	// Refresh the column-relevance mask against the current schema.
 	schema := t.Schema()
@@ -549,7 +529,6 @@ func (s *LiveViolationSet) derive(c *Constraint, l *liveList, t *table.Table) er
 	if e.kernErr != nil {
 		return e.kernErr
 	}
-	kern := e.kern
 	// Pre-size the pair list from the plan's last observed cardinality,
 	// and feed the fresh count back on the way out.
 	if p := s.ix.plan; p != nil {
@@ -558,42 +537,17 @@ func (s *LiveViolationSet) derive(c *Constraint, l *liveList, t *table.Table) er
 		}
 		defer func() { p.RecordViolations(c, len(l.pairs)) }()
 	}
-	n := t.NumRows()
-	if c.SingleTuple() {
-		for r := 0; r < n; r++ {
-			if kern.Pair(t, r, r) {
-				l.pairs = append(l.pairs, Violation{Constraint: c, Row1: r, Row2: r})
-			}
+	// Single-tuple constraints have no join key, so bs != nil means a
+	// bucketed pair constraint.
+	if bs := s.ix.scanBucketSetFor(e, t); bs != nil {
+		if workers := s.deriveWorkers(t.NumRows(), bs.nSlots); workers > 1 {
+			sc := s.ix.bucketScan(c, e, t)
+			l.pairs = deriveParallel(&sc, t, bs.members[:bs.nSlots], workers, s.Pool, l.pairs)
+			slices.SortFunc(l.pairs, violationOrder)
+			return nil
 		}
-		return nil
 	}
-	bs := s.ix.scanBucketSetFor(e, t)
-	if bs == nil {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j && kern.Pair(t, i, j) {
-					l.pairs = append(l.pairs, Violation{Constraint: c, Row1: i, Row2: j})
-				}
-			}
-		}
-		return nil
-	}
-	sc := bucketScan{kern: e.resid, c: c}
-	if pf := s.ix.prefilterFor(c, t); pf != nil {
-		sc.pass0, sc.pass1 = pf.pass0, pf.pass1
-	}
-	slots := bs.members[:bs.nSlots]
-	workers := s.deriveWorkers(n, len(slots))
-	if workers <= 1 {
-		alive := s.ix.aliveFor(0)
-		for _, rows := range slots {
-			l.pairs = scanBucket(&sc, t, rows, &alive, l.pairs)
-		}
-		s.ix.alive = alive
-	} else {
-		l.pairs = deriveParallel(&sc, t, slots, workers, s.Pool, l.pairs)
-	}
-	slices.SortFunc(l.pairs, violationOrder)
+	l.pairs = s.ix.appendScan(c, e, t, l.pairs)
 	return nil
 }
 

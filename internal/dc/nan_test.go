@@ -32,7 +32,7 @@ func assertIndexedMatchesExact(t *testing.T, label string, c *Constraint, tbl *t
 		}
 	}
 	for row := 0; row < tbl.NumRows(); row++ {
-		exact, err := c.ViolatesRow(tbl, row)
+		exact, err := violatesRowRef(c, tbl, row)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func assertIndexedMatchesExact(t *testing.T, label string, c *Constraint, tbl *t
 		if exact != indexed {
 			t.Fatalf("%s: row %d: exact %v, bucket-restricted %v", label, row, exact, indexed)
 		}
-		nExact, err := c.ViolationPairsForRow(tbl, row, nil)
+		nExact, err := violationPairsRef(c, tbl, row)
 		if err != nil {
 			t.Fatal(err)
 		}

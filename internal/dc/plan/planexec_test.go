@@ -38,10 +38,12 @@ func fuzzValue(b byte) table.Value {
 }
 
 // fuzzConstraints is the shared-join-key DC pool the fuzz draws subsets
-// from: all pair constraints join on A, with join column sets {A}, {A,B}
-// and {A,C} so subset partition sharing engages, plus single-side
-// constant predicates so pre-filter pushdown engages, plus a
-// single-tuple constraint (never planned).
+// from: the joinable pair constraints join on A, with join column sets
+// {A}, {A,B} and {A,C} so subset partition sharing engages, plus
+// single-side constant predicates so pre-filter pushdown engages, plus a
+// single-tuple constraint (never planned), plus a pair constraint with no
+// equality join key (scanned over every ordered pair, behind its
+// pushed-down pre-filter).
 func fuzzConstraints() []*dc.Constraint {
 	return []*dc.Constraint{
 		dc.MustParse("F1: !(t1.A = t2.A & t1.B != t2.B)"),
@@ -50,6 +52,7 @@ func fuzzConstraints() []*dc.Constraint {
 		dc.MustParse(`F4: !(t1.A = t2.A & t1.C = "a" & t2.B != "b")`),
 		dc.MustParse("F5: !(t1.A = t2.A & t1.B >= t2.B & t1.C < t2.C)"),
 		dc.MustParse(`F6: !(t1.B = "a" & t1.C != "b")`),
+		dc.MustParse(`F7: !(t1.B > t2.B & t1.C = "a")`),
 	}
 }
 

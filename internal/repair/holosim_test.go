@@ -24,7 +24,11 @@ func TestHoloSimRepairsLaLiga(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ok {
-		vs, _ := dc.AllViolations(ll.DCs, clean)
+		var vs []dc.Violation
+		for _, c := range ll.DCs {
+			cv, _ := c.Violations(clean)
+			vs = append(vs, cv...)
+		}
 		t.Fatalf("HoloSim left violations: %v\n%s", vs, clean)
 	}
 	if got := clean.GetRef(ll.CellOfInterest); !got.Equal(table.String("Spain")) {

@@ -14,11 +14,13 @@ import (
 // referenceChase is the pre-live-set FDChase pass: chase every join group
 // of every FD, violating or not, until a fixpoint. It pins the
 // ForEachViolatingGroup optimisation — skipping groups with no violating
-// pair — to the exhaustive behaviour.
+// pair — to the exhaustive behaviour. Groups are formed here, not by the
+// index: rows sharing the FD's left-hand key under the = predicate's
+// equality (Value.AppendJoinKey), rows with a null or NaN key excluded,
+// rows ascending within a group.
 func referenceChase(t *testing.T, cs []*dc.Constraint, dirty *table.Table) *table.Table {
 	t.Helper()
 	work := dirty.Clone()
-	ix := dc.NewScanIndex()
 	dist := table.NewDistribution()
 	var fds []chaseEntry
 	for _, c := range cs {
@@ -29,9 +31,23 @@ func referenceChase(t *testing.T, cs []*dc.Constraint, dirty *table.Table) *tabl
 	for pass := 0; pass < 10; pass++ {
 		changed := false
 		for _, e := range fds {
-			_, err := e.c.ForEachJoinGroup(work, ix, func(rows []int) error {
+			var keys []string
+			groups := make(map[string][]int)
+			for i := 0; i < work.NumRows(); i++ {
+				v := work.Get(i, e.d.lhs)
+				if v.IsNull() || v.IsNaN() {
+					continue
+				}
+				k := string(v.AppendJoinKey(nil))
+				if _, ok := groups[k]; !ok {
+					keys = append(keys, k)
+				}
+				groups[k] = append(groups[k], i)
+			}
+			for _, k := range keys {
+				rows := groups[k]
 				if len(rows) < 2 {
-					return nil
+					continue
 				}
 				dist.Reset()
 				for _, i := range rows {
@@ -39,7 +55,7 @@ func referenceChase(t *testing.T, cs []*dc.Constraint, dirty *table.Table) *tabl
 				}
 				major, ok := dist.Mode()
 				if !ok {
-					return nil
+					continue
 				}
 				for _, i := range rows {
 					cur := work.Get(i, e.d.rhs)
@@ -48,10 +64,6 @@ func referenceChase(t *testing.T, cs []*dc.Constraint, dirty *table.Table) *tabl
 						changed = true
 					}
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 		}
 		if !changed {

@@ -23,42 +23,33 @@ type IncrementalGame interface {
 }
 
 // CoalitionWalk is the incremental-evaluation protocol: Reset to the empty
-// coalition, Include players one at a time, and Value the current prefix.
+// coalition, Include or Exclude players one at a time, and Value the
+// current coalition. SampleAll grows one prefix per permutation; the
+// samplers that draw one marginal per permutation (SamplePlayer, TopK)
+// morph the walk from one sample's coalition straight into the next —
+// toggling only the players whose membership changed — instead of
+// rebuilding every prefix from the empty coalition, which re-walks every
+// player (for group games, every group) per sample.
 //
-// Equivalence contract: for any sequence of Reset/Include calls producing
-// membership set S, Value(ctx, rng) must return exactly what
-// SampleValue(ctx, mask(S), rng) would return, consuming rng identically.
-// This is what makes the sampler's fast path produce bit-identical
-// estimates under a fixed seed.
+// Equivalence contract: for any sequence of Reset/Include/Exclude calls
+// producing membership set S, Value(ctx, rng) must return exactly what
+// SampleValue(ctx, mask(S), rng) would return, consuming rng identically —
+// the path taken to S must be unobservable. This is what makes the
+// sampler's fast path produce bit-identical estimates under a fixed seed.
 type CoalitionWalk interface {
 	// Reset empties the coalition, starting a new permutation walk.
 	Reset()
 	// Include adds player p to the coalition. Adding an already-included
 	// player is a no-op.
 	Include(p int)
+	// Exclude removes player p from the coalition. Removing an absent
+	// player is a no-op.
+	Exclude(p int)
 	// Value evaluates one realization of the characteristic function on the
 	// current coalition, drawing any randomness from rng.
 	Value(ctx context.Context, rng *rand.Rand) (float64, error)
 	// Close releases the walk's resources (scratch tables back to pools).
 	Close()
-}
-
-// DeltaWalk is a CoalitionWalk that can also *remove* players. Samplers
-// that draw one marginal per permutation (SamplePlayer, TopK) then morph
-// the walk from one sample's coalition straight into the next — toggling
-// only the players whose membership changed — instead of rebuilding every
-// prefix from the empty coalition, which re-walks every player (for group
-// games, every group) per sample.
-//
-// Equivalence contract: for any sequence of Reset/Include/Exclude calls
-// producing membership set S, Value(ctx, rng) must return exactly what
-// SampleValue(ctx, mask(S), rng) would, consuming rng identically — the
-// path taken to S must be unobservable.
-type DeltaWalk interface {
-	CoalitionWalk
-	// Exclude removes player p from the coalition. Removing an absent
-	// player is a no-op.
-	Exclude(p int)
 }
 
 // walkOrNil returns a CoalitionWalk when g supports incremental prefix
@@ -70,33 +61,32 @@ func walkOrNil(g StochasticGame) CoalitionWalk {
 	return nil
 }
 
-// walkMorph drives a DeltaWalk coalition-to-coalition: it mirrors the
+// walkMorph drives a CoalitionWalk coalition-to-coalition: it mirrors the
 // walk's membership and, per marginal, flips only the players that differ
 // between the previous sample's final coalition and the next sample's
 // prefix. Confined to one goroutine, like the walk it wraps.
 type walkMorph struct {
-	walk DeltaWalk
+	walk CoalitionWalk
 	// cur mirrors the walk's current membership; valid only after started.
 	cur     []bool
 	want    []bool
 	started bool
 }
 
-func newWalkMorph(w DeltaWalk, players int) *walkMorph {
+func newWalkMorph(w CoalitionWalk, players int) *walkMorph {
 	return &walkMorph{walk: w, cur: make([]bool, players), want: make([]bool, players)}
 }
 
 // invalidate forgets the mirrored membership (the walk was driven directly
 // via Reset/Include); the next marginal re-establishes it with a Reset.
-// Nil-safe so callers can hold a nil morph for plain walks.
 func (m *walkMorph) invalidate() {
-	if m != nil {
-		m.started = false
-	}
+	m.started = false
 }
 
-// marginal samples one marginal contribution for player under perm, exactly
-// as walkMarginal does, but reaching each coalition by the membership diff.
+// marginal samples one marginal contribution for player under perm: build
+// the coalition of the players preceding it by the membership diff from
+// the previous sample, evaluate without and with the player, and return
+// the difference.
 //
 //lint:hotpath
 func (m *walkMorph) marginal(ctx context.Context, perm []int, player int, rng *rand.Rand) (float64, error) {
@@ -133,33 +123,6 @@ func (m *walkMorph) marginal(ctx context.Context, perm []int, player int, rng *r
 	m.walk.Include(player)
 	m.cur[player] = true
 	with, err := m.walk.Value(ctx, rng)
-	if err != nil {
-		return 0, err
-	}
-	return with - without, nil
-}
-
-// walkMarginal samples one marginal contribution for player under perm via
-// the walk protocol: build the preceding-players prefix, evaluate without
-// and with the player, return the difference. Shared by SamplePlayer and
-// SampleTopK so the walk sequence (and its RNG consumption) cannot diverge
-// between them.
-//
-//lint:hotpath
-func walkMarginal(ctx context.Context, walk CoalitionWalk, perm []int, player int, rng *rand.Rand) (float64, error) {
-	walk.Reset()
-	for _, p := range perm {
-		if p == player {
-			break
-		}
-		walk.Include(p)
-	}
-	without, err := walk.Value(ctx, rng)
-	if err != nil {
-		return 0, err
-	}
-	walk.Include(player)
-	with, err := walk.Value(ctx, rng)
 	if err != nil {
 		return 0, err
 	}

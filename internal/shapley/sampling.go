@@ -167,8 +167,8 @@ func (w *welford) estimate(player int) Estimate {
 // marginalState is the per-worker scratch of the one-marginal-per-sample
 // samplers (SamplePlayer, TopK): a permutation buffer, a coalition/prefix
 // buffer, and — for incremental games — one borrowed walk reused across
-// every chunk the worker runs, with the membership mirror that lets a
-// DeltaWalk morph coalition to coalition instead of rebuilding from ∅.
+// every chunk the worker runs, with the membership mirror that lets the
+// walk morph coalition to coalition instead of rebuilding from ∅.
 type marginalState struct {
 	perm      []int
 	coalition []bool
@@ -181,9 +181,7 @@ func newMarginalState(g StochasticGame) *marginalState {
 	n := g.NumPlayers()
 	st := &marginalState{perm: make([]int, n), coalition: make([]bool, n)}
 	if st.walk = walkOrNil(g); st.walk != nil {
-		if d, ok := st.walk.(DeltaWalk); ok {
-			st.morph = newWalkMorph(d, n)
-		}
+		st.morph = newWalkMorph(st.walk, n)
 	}
 	return st
 }
@@ -195,18 +193,14 @@ func (st *marginalState) close() {
 }
 
 // marginal draws one marginal contribution for player under perm, through
-// the fastest protocol the game supports: coalition morphing (DeltaWalk),
-// the prefix walk, or the generic mask rebuild. All three return the exact
-// same value and consume rng identically (the equivalence contracts on
-// CoalitionWalk and DeltaWalk).
+// the fastest protocol the game supports: coalition morphing on a walk, or
+// the generic mask rebuild. Both return the exact same value and consume
+// rng identically (the equivalence contract on CoalitionWalk).
 //
 //lint:hotpath
 func (st *marginalState) marginal(ctx context.Context, g StochasticGame, perm []int, player int, rng *rand.Rand) (float64, error) {
 	if st.morph != nil {
 		return st.morph.marginal(ctx, perm, player, rng)
-	}
-	if st.walk != nil {
-		return walkMarginal(ctx, st.walk, perm, player, rng)
 	}
 	coalition := st.coalition
 	for i := range coalition {
